@@ -38,7 +38,7 @@ func main() {
 		boundsF = flag.String("bounds", "1,4,16,32,64,100,120,150", "comma-separated heuristic bounds (the paper's table)")
 		exact   = flag.Bool("exact", false, "also run the exact algorithm (feasible only with -config lite)")
 		repeat  = flag.Int("repeat", 3, "measurement repetitions per bound (median and p95 reported)")
-		workers = flag.Int("workers", runtime.NumCPU(), "engine worker-pool size; values > 1 add a parallel run per bound with measured speedup vs sequential")
+		workers = flag.Int("workers", runtime.NumCPU(), "engine worker-pool size; values > 1 add a parallel run per bound, with its speedup vs sequential when the host has that many CPUs")
 		periods = flag.Int("periods", modelgen.CaseStudyPeriods, "simulated periods")
 		seed    = flag.Int64("seed", modelgen.CaseStudySeed, "simulation seed")
 
@@ -163,8 +163,13 @@ func main() {
 			par := measure(fmt.Sprintf("bound_%d_w%d", b, *workers), b, *workers,
 				modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
 			run := &file.Runs[len(file.Runs)-1]
-			run.SpeedupVsSequential = float64(seqMedian) / float64(run.MedianNS)
-			fmt.Printf("%8s parallel speedup at workers=%d: %.2fx\n", "", *workers, run.SpeedupVsSequential)
+			if file.Host.CanMeasureSpeedup(*workers) {
+				run.SpeedupVsSequential = float64(seqMedian) / float64(run.MedianNS)
+				fmt.Printf("%8s parallel speedup at workers=%d: %.2fx\n", "", *workers, run.SpeedupVsSequential)
+			} else {
+				fmt.Printf("%8s parallel speedup at workers=%d: not measured (%d CPUs < %d workers)\n",
+					"", *workers, file.Host.CPUs, *workers)
+			}
 			if !par.LUB.Equal(seq.LUB) {
 				fatalf("bound %d: parallel LUB diverges from sequential (determinism violation)", b)
 			}

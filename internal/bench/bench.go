@@ -51,6 +51,11 @@ type Host struct {
 	Commit string `json:"commit,omitempty"`
 }
 
+// CanMeasureSpeedup reports whether a parallel speedup at the given
+// worker count is meaningful on h: only with at least one CPU per
+// worker.
+func (h Host) CanMeasureSpeedup(workers int) bool { return h.CPUs >= workers }
+
 // NewHost captures the current host, including the vcs.revision build
 // setting when present.
 func NewHost() Host {
@@ -81,8 +86,10 @@ type Run struct {
 	// sequential; the learner's default).
 	Workers int `json:"workers"`
 	// SpeedupVsSequential is sequential-median / this-run-median for
-	// sweep points measured both ways; 0 when not measured. Values
-	// near 1.0 on a single-CPU host are expected and honest.
+	// sweep points measured both ways; 0 when not measured. It is only
+	// recorded when the host has at least Workers CPUs: on a smaller
+	// host the ratio measures scheduler noise, not parallelism, and
+	// Validate rejects it.
 	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// Repetitions is the number of measured repetitions behind the
 	// summary statistics.
@@ -164,6 +171,10 @@ func (f *File) Validate() error {
 		}
 		if r.SpeedupVsSequential < 0 {
 			return fmt.Errorf("bench: run %q: negative speedup %v", r.Name, r.SpeedupVsSequential)
+		}
+		if r.SpeedupVsSequential != 0 && !f.Host.CanMeasureSpeedup(r.Workers) {
+			return fmt.Errorf("bench: run %q: speedup %v recorded on a %d-CPU host with %d workers",
+				r.Name, r.SpeedupVsSequential, f.Host.CPUs, r.Workers)
 		}
 		if r.MedianNS <= 0 || r.P95NS < r.MedianNS {
 			return fmt.Errorf("bench: run %q: median %d ns, p95 %d ns", r.Name, r.MedianNS, r.P95NS)

@@ -11,6 +11,10 @@ import (
 
 func sampleFile() *File {
 	f := New("test")
+	// The sample carries a 4-worker speedup, which is only valid on a
+	// host with at least 4 CPUs; pin that instead of inheriting the
+	// test machine's count.
+	f.Host.CPUs = 4
 	f.Config = "lite"
 	f.Periods = 10
 	f.Seed = 7
@@ -83,6 +87,7 @@ func TestValidateRejections(t *testing.T) {
 		{"p95 below median", func(f *File) { f.Runs[0].P95NS = f.Runs[0].MedianNS - 1 }},
 		{"zero workers", func(f *File) { f.Runs[0].Workers = 0 }},
 		{"negative speedup", func(f *File) { f.Runs[2].SpeedupVsSequential = -0.5 }},
+		{"speedup on too few CPUs", func(f *File) { f.Host.CPUs = 2 }},
 	}
 	for _, tc := range cases {
 		f := sampleFile()
@@ -229,5 +234,22 @@ func TestNewHostPopulated(t *testing.T) {
 	h := NewHost()
 	if h.OS == "" || h.Arch == "" || h.CPUs <= 0 || !strings.HasPrefix(h.GoVersion, "go") {
 		t.Errorf("host metadata incomplete: %+v", h)
+	}
+}
+
+// TestValidateSpeedupNeedsCPUs: a parallel run on a host with fewer
+// CPUs than workers is valid as long as it does not claim a speedup.
+func TestValidateSpeedupNeedsCPUs(t *testing.T) {
+	f := sampleFile()
+	f.Host.CPUs = 1
+	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "1-CPU host with 4 workers") {
+		t.Fatalf("speedup on a 1-CPU host: Validate = %v", err)
+	}
+	f.Runs[2].SpeedupVsSequential = 0
+	if err := f.Validate(); err != nil {
+		t.Errorf("unmeasured speedup on a 1-CPU host rejected: %v", err)
+	}
+	if !(Host{CPUs: 4}).CanMeasureSpeedup(4) || (Host{CPUs: 3}).CanMeasureSpeedup(4) {
+		t.Error("CanMeasureSpeedup disagrees with cpus >= workers")
 	}
 }

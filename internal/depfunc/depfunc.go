@@ -279,8 +279,10 @@ func (d *DepFunc) Join(other *DepFunc) *DepFunc {
 // for the lanes that actually changed, and a shared buffer is only
 // duplicated once the first change lands — so the converged steady
 // state, joining a function that adds nothing, does no hash work and
-// no copying at all.
-func (d *DepFunc) JoinWith(other *DepFunc) {
+// no copying at all. It reports whether any entry changed, so callers
+// caching a derived quantity (the hypothesis weight) can skip
+// recomputing it on the no-change path.
+func (d *DepFunc) JoinWith(other *DepFunc) bool {
 	ow := other.w[1:]
 	owned := false
 	for i := range ow {
@@ -296,6 +298,7 @@ func (d *DepFunc) JoinWith(other *DepFunc) {
 		d.fp ^= laneDiffHash(i*lattice.PackedLanes, old, nw)
 		d.w[1+i] = nw
 	}
+	return owned
 }
 
 // Meet returns the pointwise greatest lower bound as a new function.

@@ -70,9 +70,14 @@ func FuzzPackedDepFunc(f *testing.F) {
 				r.JoinAt(i, j, v)
 				check(step, "joinat")
 			case 2:
-				d.JoinWith(d2)
+				before := d.Clone()
+				changed := d.JoinWith(d2)
 				r.JoinWith(r2)
 				check(step, "joinwith")
+				if changed == d.Equal(before) {
+					t.Fatalf("step %d: JoinWith reported changed=%v, equal to before=%v", step, changed, d.Equal(before))
+				}
+				before.Release()
 			case 3:
 				m := d.Meet(d2)
 				d.Release()

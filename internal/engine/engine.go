@@ -183,48 +183,56 @@ type Engine struct {
 
 	// seen is the dedup set reused (via Reset) by every message's
 	// gather and by forgetDeadAssumptions; reuse keeps the hot loop
-	// free of per-message map allocations.
-	seen *hypothesis.Dedup
-	// arenas bump-allocate assumption cons cells: one arena per
-	// fan-out worker chunk plus arenas[Workers] for the sequential
-	// path, the gather's merges and assumption forgetting. All are
-	// reset at the period boundary, right after ClearAssumptions has
-	// severed every surviving reference.
-	arenas []*hypothesis.Arena
+	// free of per-message allocations. Its table is allocated on the
+	// first message, not here.
+	seen hypothesis.Dedup
+	// wl is the gather's worklist, reused message after message.
+	wl workList
+	// arenas bump-allocate assumption cons cells and recycle
+	// hypothesis headers: one arena per fan-out worker chunk plus
+	// arenas[Workers] for the sequential path, the gather's merges
+	// and assumption forgetting. All are reset at the period
+	// boundary, right after ClearAssumptions has severed every
+	// surviving reference.
+	arenas []hypothesis.Arena
 	// scratch is the sequential fan-out's reusable child buffer.
 	scratch []*hypothesis.Hypothesis
 }
 
+// newEngine returns an engine over ts with cfg normalized and no
+// working set yet; New and Restore fill in the session state.
+func newEngine(ts *depfunc.TaskSet, cfg Config) *Engine {
+	if cfg.Workers < 1 {
+		cfg.Workers = 1
+	}
+	e := &Engine{
+		ts:     ts,
+		cfg:    cfg,
+		arenas: make([]hypothesis.Arena, cfg.Workers+1),
+	}
+	e.wl = workList{bound: cfg.Bound, stats: &e.stats, obsv: cfg.Observer}
+	return e
+}
+
 // mainArena returns the arena of the engine's own goroutine (the
 // sequential fan-out, gather and postprocess paths).
-func (e *Engine) mainArena() *hypothesis.Arena { return e.arenas[e.cfg.Workers] }
+func (e *Engine) mainArena() *hypothesis.Arena { return &e.arenas[e.cfg.Workers] }
 
 // New starts an engine session over the task set: the working set is
 // {d⊥}. It announces the session to the observer with an EngineStart
 // event carrying the effective worker count and bound.
 func New(ts *depfunc.TaskSet, cfg Config) *Engine {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
+	e := newEngine(ts, cfg)
 	bottom := hypothesis.Bottom(ts)
 	if cfg.Provenance {
 		bottom.EnableProvenance()
 	}
-	e := &Engine{
-		ts:     ts,
-		cfg:    cfg,
-		hist:   make([]bool, ts.Len()*ts.Len()),
-		cur:    []*hypothesis.Hypothesis{bottom},
-		seen:   hypothesis.NewDedup(),
-		arenas: make([]*hypothesis.Arena, cfg.Workers+1),
-	}
-	for i := range e.arenas {
-		e.arenas[i] = new(hypothesis.Arena)
-	}
+	e.hist = make([]bool, ts.Len()*ts.Len())
+	e.cur = []*hypothesis.Hypothesis{bottom}
 	e.stats.Peak = 1
 	e.resetDeltaBase()
 	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: cfg.Workers, Bound: cfg.Bound})
+		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: e.cfg.Workers, Bound: cfg.Bound})
 	}
 	return e
 }
@@ -341,7 +349,7 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 			// share parent buffers only through the refcount), so its
 			// matrices go back to the arena.
 			for _, h := range cur {
-				h.Release()
+				h.Release(e.mainArena())
 			}
 		}
 		cur = e.forgetDeadAssumptions(next, live[mi+1])
@@ -375,14 +383,24 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 		h.ClearAssumptions()
 	}
 	e.stats.Relaxations += relaxed
-	// Every surviving assumption list was just cleared and no other
-	// holder outlives the period, so the cons-cell arenas can recycle
-	// wholesale.
-	for _, ar := range e.arenas {
-		ar.Reset()
-	}
 	before := len(e.cur)
 	e.cur = PruneMostSpecific(e.cur, e.cfg.Observer, p.Index)
+	// Every surviving assumption list was just cleared and no other
+	// holder outlives the period, so the cons-cell arenas can recycle
+	// wholesale. The main arena keeps at most one spare header per
+	// survivor and the chunk arenas none (the fan-out tops them up
+	// from the main arena), so an engine idling between periods pins
+	// no more headers than its live set.
+	for i := range e.arenas {
+		keep := 0
+		if i == e.cfg.Workers {
+			keep = len(e.cur)
+		}
+		e.arenas[i].Reset(keep)
+	}
+	// The dedup set's stale slots would otherwise keep this period's
+	// pruned and superseded hypotheses reachable.
+	e.seen.Clear()
 	updateHistory(e.hist, executed, e.ts.Len())
 	sp.End()
 	return relaxed, before - len(e.cur)
@@ -401,17 +419,17 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 		return nil, fmt.Errorf("%w: message has no timing-feasible sender/receiver pair", ErrNoHypothesis)
 	}
 	ctx := hypothesis.StepCtx{Period: period, Msg: msg, MsgID: msgID, Arena: e.mainArena()}
-	wl := newWorkList(e.cfg.Bound, &e.stats)
-	wl.obsv, wl.ctx = e.cfg.Observer, ctx
-	seen := e.seen
+	wl := &e.wl
+	wl.begin(minWeight(cur), ctx)
+	seen := &e.seen
 	seen.Reset()
 	gather := func(children []*hypothesis.Hypothesis) {
 		for _, c := range children {
 			if seen.Insert(c) {
 				// An equal hypothesis is already in the working list;
 				// the rejected duplicate was never seen by anyone else,
-				// so its matrix goes straight back to the arena.
-				c.Release()
+				// so it goes straight back to the arena.
+				c.Release(ctx.Arena)
 				continue
 			}
 			e.stats.Children++
@@ -437,10 +455,10 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 		}
 	}
 
-	out := wl.items
-	// The dedup map is dead from here on: hypotheses the bounded
+	out := wl.take()
+	// The dedup set is dead from here on: hypotheses the bounded
 	// heuristic merged away can no longer be consulted by any equality
-	// check, so their matrices are safe to recycle.
+	// check, so they are safe to recycle.
 	wl.releaseRetired()
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%w: no hypothesis can explain the message", ErrNoHypothesis)
@@ -476,10 +494,20 @@ func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
 		}
 	}
 	if e.cfg.EagerPrune {
-		kept := minimalChildren(dst[base:])
+		kept := minimalChildren(dst[base:], ctx.Arena)
 		dst = dst[:base+len(kept)]
 	}
 	return dst
+}
+
+// minWeight returns the weight of the lightest hypothesis in hs
+// (which must not be empty).
+func minWeight(hs []*hypothesis.Hypothesis) int {
+	w := hs[0].Weight()
+	for _, h := range hs[1:] {
+		w = min(w, h.Weight())
+	}
+	return w
 }
 
 // liveSuffixes returns, for each message index i, the set of pairs
@@ -511,7 +539,7 @@ func liveSuffixes(cands [][]depfunc.Pair) []map[depfunc.Pair]bool {
 func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[depfunc.Pair]bool) []*hypothesis.Hypothesis {
 	// The message's gather is finished with e.seen (releaseRetired has
 	// run), so the same set is reset and reused here.
-	seen := e.seen
+	seen := &e.seen
 	seen.Reset()
 	out := hs[:0]
 	ar := e.mainArena()
@@ -521,7 +549,7 @@ func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[dep
 			out = append(out, h)
 		} else {
 			// Unified away, referenced by nothing else: recycle.
-			h.Release()
+			h.Release(ar)
 		}
 	}
 	return out
@@ -531,9 +559,10 @@ func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[dep
 // order on dependency functions) among the children one parent
 // spawned for one message. Children with equal dependency functions
 // but different assumptions are all kept. Dominated children are
-// fresh, unshared objects, so their matrices are recycled on the
-// spot (safe from worker goroutines: the arena is concurrent).
-func minimalChildren(children []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
+// fresh, unshared objects, so they are recycled on the spot into ar,
+// the arena of the goroutine that spawned them (a fan-out worker's
+// own chunk arena; the matrix buffer arena is concurrent).
+func minimalChildren(children []*hypothesis.Hypothesis, ar *hypothesis.Arena) []*hypothesis.Hypothesis {
 	dominated := make([]bool, len(children))
 	for i, c := range children {
 		for j, o := range children {
@@ -548,7 +577,7 @@ func minimalChildren(children []*hypothesis.Hypothesis) []*hypothesis.Hypothesis
 		if !dominated[i] {
 			out = append(out, c)
 		} else {
-			c.Release()
+			c.Release(ar)
 		}
 	}
 	return out

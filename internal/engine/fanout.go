@@ -61,10 +61,11 @@ func (e *Engine) newFanPool() *fanPool {
 			for job := range p.jobs {
 				lo := job.chunk * len(job.cur) / p.n
 				hi := (job.chunk + 1) * len(job.cur) / p.n
-				// Each chunk allocates assumption cells from its own
-				// arena so workers never contend (or race) on one.
+				// Each chunk draws assumption cells and headers from
+				// its own arena so workers never contend (or race) on
+				// one.
 				ctx := job.ctx
-				ctx.Arena = p.e.arenas[job.chunk]
+				ctx.Arena = &p.e.arenas[job.chunk]
 				buf := p.kids[job.chunk][:0]
 				for _, h := range job.cur[lo:hi] {
 					buf = p.e.childrenOf(h, job.pairs, ctx, buf)
@@ -81,9 +82,18 @@ func (e *Engine) newFanPool() *fanPool {
 // barrier. The returned buffers hold, in chunk order, the children of
 // every parent in (parent, pair) generation order; they are only valid
 // until the next run call.
+//
+// Headers the gather releases land in the main arena (ctx.Arena), so
+// before dispatching, still on the caller's goroutine, run tops up
+// each chunk arena's freelist from it to that chunk's worst-case child
+// count. Workers then touch only their own arena.
 func (p *fanPool) run(cur []*hypothesis.Hypothesis, pairs []depfunc.Pair,
 	ctx hypothesis.StepCtx) [][]*hypothesis.Hypothesis {
 
+	for c := 0; c < p.n; c++ {
+		parents := (c+1)*len(cur)/p.n - c*len(cur)/p.n
+		p.e.arenas[c].TopUp(ctx.Arena, parents*len(pairs))
+	}
 	var done sync.WaitGroup
 	done.Add(p.n)
 	for c := 0; c < p.n; c++ {

@@ -61,20 +61,9 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 	if len(st.Working) == 0 {
 		return nil, fmt.Errorf("engine: restore: empty working set")
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	e := &Engine{
-		ts:     ts,
-		cfg:    cfg,
-		hist:   append([]bool(nil), st.History...),
-		cur:    make([]*hypothesis.Hypothesis, 0, len(st.Working)),
-		seen:   hypothesis.NewDedup(),
-		arenas: make([]*hypothesis.Arena, cfg.Workers+1),
-	}
-	for i := range e.arenas {
-		e.arenas[i] = new(hypothesis.Arena)
-	}
+	e := newEngine(ts, cfg)
+	e.hist = append([]bool(nil), st.History...)
+	e.cur = make([]*hypothesis.Hypothesis, 0, len(st.Working))
 	for i, d := range st.Working {
 		if !d.TaskSet().Equal(ts) {
 			return nil, fmt.Errorf("engine: restore: working hypothesis %d is over task set %v, want %v",
@@ -93,7 +82,7 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 	}
 	e.resetDeltaBase()
 	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: cfg.Workers, Bound: cfg.Bound})
+		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: e.cfg.Workers, Bound: cfg.Bound})
 	}
 	return e, nil
 }

@@ -22,7 +22,7 @@ import (
 type Hypothesis struct {
 	// D is embedded by value: a hypothesis and its dependency-function
 	// header are one object, so the fan-out's per-child cost is a
-	// single (pooled) header instead of two heap allocations. Callers
+	// single (recycled) header instead of two heap allocations. Callers
 	// that need a *depfunc.DepFunc take &h.D; the copy-on-write buffer
 	// rules are unchanged.
 	D depfunc.DepFunc
@@ -56,8 +56,8 @@ type Hypothesis struct {
 	// dnext chains hypotheses with colliding fingerprints inside a
 	// Dedup set. Only the Dedup that most recently inserted h ever
 	// traverses it (Insert always rewrites the link), so the field can
-	// ride along in the header instead of forcing the dedup map to
-	// allocate per-bucket slices.
+	// ride along in the header instead of forcing the dedup table to
+	// allocate per-slot slices.
 	dnext *Hypothesis
 }
 
@@ -94,12 +94,13 @@ type StepCtx struct {
 	Msg    int
 	MsgID  string
 
-	// Arena, when non-nil, supplies the assumption cons cells that
-	// Assume and Merge would otherwise heap-allocate. The engine hands
-	// each fan-out worker its own arena and resets them at the period
-	// boundary (when every assumption list is cleared anyway); the nil
-	// zero value falls back to plain allocation, so casual callers and
-	// tests need not care.
+	// Arena, when non-nil, supplies the assumption cons cells and the
+	// recycled headers that Assume and Merge would otherwise
+	// heap-allocate. The engine hands each fan-out worker chunk its
+	// own arena and resets them at the period boundary (when every
+	// assumption list is cleared anyway); the nil zero value falls
+	// back to plain allocation, so casual callers and tests need not
+	// care.
 	Arena *Arena
 }
 
@@ -210,19 +211,22 @@ func (h *Hypothesis) Assumed(p depfunc.Pair) bool {
 // AssumptionCount returns the number of pairs assumed this period.
 func (h *Hypothesis) AssumptionCount() int { return h.acount }
 
-// Release returns the hypothesis's matrix buffer to the arena and the
-// header itself to the package pool. The depfunc.Release aliasing
-// rules apply: only release hypotheses with no live alias (in
-// particular none held by a dedup map, a worklist or an escaped
-// result). A second Release on the same header is a no-op: the
-// embedded matrix reports whether it actually held a buffer, which
-// guards the pool against double puts.
-func (h *Hypothesis) Release() {
+// Release returns the hypothesis's matrix buffer to the depfunc
+// buffer arena and the header itself to ar's freelist (a nil ar lets
+// the garbage collector have it). The depfunc.Release aliasing rules
+// apply: only release hypotheses with no live alias (in particular
+// none held by a dedup set, a worklist or an escaped result). A second
+// Release on the same header is a no-op: the embedded matrix reports
+// whether it actually held a buffer, which guards the freelist against
+// double pushes. ar must belong to the calling goroutine.
+func (h *Hypothesis) Release(ar *Arena) {
 	if !h.D.Release() {
 		return
 	}
 	*h = Hypothesis{}
-	hypPool.Put(h)
+	if ar != nil {
+		ar.free = append(ar.free, h)
+	}
 }
 
 // Assume returns a new hypothesis extending h with the assumption that
@@ -241,15 +245,14 @@ func (h *Hypothesis) Assume(p depfunc.Pair, fwd, bwd lattice.Value, ctx StepCtx)
 	if h.Assumed(p) {
 		return nil
 	}
-	child := hypPool.Get().(*Hypothesis)
-	*child = Hypothesis{
-		asm:    ctx.Arena.node(p, h.asm),
-		acount: h.acount + 1,
-		weight: h.weight,
-		afp:    h.afp ^ p.Fingerprint(),
-		prov:   h.prov,
-		provOn: h.provOn,
-	}
+	// The header is zeroed, so setting the live fields one by one
+	// avoids building and copying a whole struct literal.
+	child := ctx.Arena.header()
+	child.asm = ctx.Arena.node(p, h.asm)
+	child.acount = h.acount + 1
+	child.weight = h.weight
+	child.afp = h.afp ^ p.Fingerprint()
+	child.prov, child.provOn = h.prov, h.provOn
 	h.D.ShareInto(&child.D)
 	child.joinEntry(p, p.S, p.R, fwd, ctx)
 	child.joinEntry(p, p.R, p.S, bwd, ctx)
@@ -351,23 +354,19 @@ func (h *Hypothesis) Relax(executed func(task int) bool, ctx StepCtx) int {
 // folded-away operand's own history is not retained — the chain
 // explains the surviving table, not every dead branch.
 func (h *Hypothesis) Merge(other *Hypothesis, ctx StepCtx) *Hypothesis {
+	asm, count, afp := h.intersect(other, ctx.Arena)
 	// Share h's matrix copy-on-write; the join only materializes a
 	// copy if other actually raises an entry.
-	var asm *assumeNode
-	var afp uint64
-	count := 0
-	for n := h.asm; n != nil; n = n.prev {
-		if other.Assumed(n.p) {
-			asm = ctx.Arena.node(n.p, asm)
-			count++
-			afp ^= n.p.Fingerprint()
-		}
-	}
-	m := hypPool.Get().(*Hypothesis)
-	*m = Hypothesis{asm: asm, acount: count, afp: afp, prov: h.prov, provOn: h.provOn || other.provOn}
+	m := ctx.Arena.header()
+	m.asm, m.acount, m.afp, m.weight = asm, count, afp, h.weight
+	m.prov, m.provOn = h.prov, h.provOn || other.provOn
 	h.D.ShareInto(&m.D)
-	m.D.JoinWith(&other.D)
-	m.weight = m.D.Weight()
+	// Most bounded merges fold a hypothesis into one that already
+	// covers it; the receiver's cached weight then stays exact and the
+	// full recount is skipped.
+	if m.D.JoinWith(&other.D) {
+		m.weight = m.D.Weight()
+	}
 	if m.provOn {
 		n := m.D.N()
 		for i := 0; i < n; i++ {
@@ -386,6 +385,33 @@ func (h *Hypothesis) Merge(other *Hypothesis, ctx StepCtx) *Hypothesis {
 		}
 	}
 	return m
+}
+
+// intersect returns the assumption list, count and fingerprint of the
+// pairs both h and other assumed. The list is immutable, so the part
+// of h's list older than the oldest pair other lacks is reused as is;
+// only kept cells newer than that are copied. When other assumed every
+// pair of h (the common case in bounded merging) nothing is copied.
+func (h *Hypothesis) intersect(other *Hypothesis, ar *Arena) (*assumeNode, int, uint64) {
+	var cut *assumeNode // the oldest cell other lacks
+	for n := h.asm; n != nil; n = n.prev {
+		if !other.Assumed(n.p) {
+			cut = n
+		}
+	}
+	if cut == nil {
+		return h.asm, h.acount, h.afp
+	}
+	asm, count, afp := cut.prev, h.acount, h.afp
+	for n := h.asm; n != cut.prev; n = n.prev {
+		if n == cut || !other.Assumed(n.p) {
+			count--
+			afp ^= n.p.Fingerprint()
+		} else {
+			asm = ar.node(n.p, asm)
+		}
+	}
+	return asm, count, afp
 }
 
 // Clone returns a deep copy of the dependency function (the immutable

@@ -1,6 +1,7 @@
 package hypothesis
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -279,5 +280,99 @@ func TestRelaxProvenance(t *testing.T) {
 	}
 	if relaxes != n {
 		t.Errorf("recorded %d relax steps, Relax reported %d", relaxes, n)
+	}
+}
+
+// TestMergeWeightCached: the merged weight is exact on both paths —
+// recounted when the join raised an entry, inherited from the receiver
+// when it did not.
+func TestMergeWeightCached(t *testing.T) {
+	base := Bottom(ts3())
+	ab := base.Assume(depfunc.Pair{S: 0, R: 1}, lattice.FwdMaybe, lattice.Bwd, StepCtx{})
+	bc := base.Assume(depfunc.Pair{S: 1, R: 2}, lattice.Fwd, lattice.Bwd, StepCtx{})
+	abc := ab.Assume(depfunc.Pair{S: 1, R: 2}, lattice.Fwd, lattice.Bwd, StepCtx{})
+
+	changed := ab.Merge(bc, StepCtx{})
+	if changed.D.Equal(&ab.D) {
+		t.Fatal("test setup: join did not change the receiver")
+	}
+	unchanged := abc.Merge(bc, StepCtx{})
+	if !unchanged.D.Equal(&abc.D) {
+		t.Fatal("test setup: join changed the receiver")
+	}
+	for name, m := range map[string]*Hypothesis{"changed": changed, "unchanged": unchanged} {
+		if m.Weight() != m.D.Weight() {
+			t.Errorf("%s join: cached weight %d, recomputed %d", name, m.Weight(), m.D.Weight())
+		}
+	}
+}
+
+// TestMergeNoChangeAllocs pins the bounded heuristic's common case:
+// merging a hypothesis that adds nothing, with an arena, allocates
+// nothing once the arena's header freelist is warm.
+func TestMergeNoChangeAllocs(t *testing.T) {
+	var ar Arena
+	ctx := StepCtx{Arena: &ar}
+	shared := depfunc.Pair{S: 0, R: 2}
+	base := Bottom(ts3())
+	h1 := base.Assume(shared, lattice.Fwd, lattice.Bwd, ctx).
+		Assume(depfunc.Pair{S: 0, R: 1}, lattice.Fwd, lattice.Bwd, ctx)
+	h2 := base.Assume(shared, lattice.Fwd, lattice.Bwd, ctx)
+	mark := ar
+	merge := func() {
+		m := h1.Merge(h2, ctx)
+		if !m.D.Equal(&h1.D) || !m.Assumed(shared) {
+			t.Fatal("no-change merge produced the wrong state")
+		}
+		m.Release(&ar)
+		// Roll the cells back rather than Reset: h1 and h2's own
+		// cells live in the same arena.
+		ar.bi, ar.used = mark.bi, mark.used
+	}
+	if allocs := testing.AllocsPerRun(100, merge); allocs != 0 {
+		t.Errorf("no-change merge allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestMergeIntersectsAssumptions: over random assumption lists, the
+// merged set is exactly the intersection, with a matching count and
+// fingerprint, whether the receiver's list is shared whole, shared in
+// part or rebuilt.
+func TestMergeIntersectsAssumptions(t *testing.T) {
+	ts := depfunc.MustTaskSet("a", "b", "c", "d", "e")
+	var pairs []depfunc.Pair
+	for s := 0; s < ts.Len(); s++ {
+		for r := 0; r < ts.Len(); r++ {
+			if s != r {
+				pairs = append(pairs, depfunc.Pair{S: s, R: r})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	var ar Arena
+	ctx := StepCtx{Arena: &ar}
+	// Par stamps leave D at ⊥, so only the assumption sets differ.
+	assumeRandom := func(pool []depfunc.Pair) *Hypothesis {
+		h := Bottom(ts)
+		for _, p := range pool {
+			if rng.Intn(3) > 0 {
+				h = h.Assume(p, lattice.Par, lattice.Par, ctx)
+			}
+		}
+		return h
+	}
+	for trial := 0; trial < 300; trial++ {
+		pool := pairs[:4+rng.Intn(8)]
+		h, other := assumeRandom(pool), assumeRandom(pool)
+		m := h.Merge(other, ctx)
+		want := Bottom(ts)
+		for _, p := range pool {
+			if h.Assumed(p) && other.Assumed(p) {
+				want = want.Assume(p, lattice.Par, lattice.Par, ctx)
+			}
+		}
+		if !m.SameState(want) || m.AssumptionCount() != want.AssumptionCount() || m.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("trial %d: merged assumptions %s, want %s", trial, m.Key(), want.Key())
+		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 
 // BenchmarkMergePath times the engine's merge hot path end to end:
 // assumption-intersection walk, copy-on-write matrix share, the
-// word-parallel join, and release back into the header pool and word
-// arena. Steady state must be alloc-free except the join's one
-// copy-on-write materialization (the shared parent matrix must be
-// copied before other's entries are OR-ed in).
+// word-parallel join, and release back into the arena's header
+// freelist and the word arena. The join's copy-on-write
+// materialization (the shared parent matrix must be copied before
+// other's entries are OR-ed in) draws a recycled buffer, so steady
+// state is alloc-free; TestMergeAllocs pins the no-change path.
 func BenchmarkMergePath(b *testing.B) {
 	for _, n := range []int{6, 12} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
@@ -38,7 +39,7 @@ func BenchmarkMergePath(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m := h1.Merge(h2, ctx)
-				m.Release()
+				m.Release(&ar)
 				// Roll the arena back to the pre-merge mark instead of
 				// Reset: h1/h2's own cells live in the same arena and
 				// must survive the iteration.
