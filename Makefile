@@ -102,10 +102,17 @@ fuzz:
 ## the sequential-vs-parallel speedup columns at 4 workers. Bound 50
 ## rides along beyond the paper's column list because it is the CI
 ## regression gate's comparison point (bench-regression in ci.yml).
-## Gate a change against the committed baseline with:
+## The exact algorithm on the 7-task lite configuration is recorded
+## separately (BENCH_exact_lite.json, with bound 16 riding along): it
+## is the only committed run whose time is dominated by the
+## end-of-period prune rather than the bounded merge, and the second
+## bench-regression step gates it. Gate a change against the committed
+## baselines with:
 ##   go run ./cmd/bbbench -compare BENCH_local.json -threshold 10%
+##   go run ./cmd/bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -compare BENCH_exact_lite.json -threshold 10%
 bench:
 	$(GO) run ./cmd/bbbench -workers 4 -bounds 1,4,16,32,50,64,100,120,150 -json BENCH_local.json
+	$(GO) run ./cmd/bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -label exact_lite -json BENCH_exact_lite.json
 
 ## microbench: the go-test microbenchmarks, including the
 ## zero-allocation observer guard (compare nil vs nop allocs/op) and

@@ -10,6 +10,7 @@
 //
 //	bbbench                                 # heuristic sweep on the full case study
 //	bbbench -config lite -exact             # sweep + exact run on the lite subsystem
+//	bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -compare BENCH_exact_lite.json
 //	bbbench -repeat 5                       # median of five runs per bound
 //	bbbench -json BENCH_local.json          # write the telemetry file
 //	bbbench -compare BENCH_base.json        # exit 1 on >10% regression vs the baseline
@@ -202,6 +203,12 @@ func main() {
 		baseline, err := modelgen.ReadBenchFile(*compareTo)
 		if err != nil {
 			fatalf("baseline: %v", err)
+		}
+		// Runs pair up by name, and bound_16 names a different workload
+		// in each configuration.
+		if baseline.Config != file.Config || baseline.Periods != file.Periods || baseline.Seed != file.Seed {
+			fatalf("baseline %s measures config %q (%d periods, seed %d), this run config %q (%d periods, seed %d)",
+				*compareTo, baseline.Config, baseline.Periods, baseline.Seed, file.Config, file.Periods, file.Seed)
 		}
 		regs := modelgen.BenchCompare(baseline, file, th)
 		if len(regs) == 0 {

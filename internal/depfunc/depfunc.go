@@ -3,7 +3,6 @@ package depfunc
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -91,7 +90,8 @@ func (d *DepFunc) Set(i, j int, v lattice.Value) {
 
 // setIdx assigns a flat index, keeping the fingerprint invariant. All
 // entry mutations funnel through it (or through the word loops of
-// JoinWith/Meet, which maintain the same invariant per changed lane).
+// JoinWith/Meet/RelaxMasked, which maintain the same invariant per
+// changed lane).
 func (d *DepFunc) setIdx(idx int, v lattice.Value) {
 	wi := 1 + idx/lattice.PackedLanes
 	sh := uint(idx%lattice.PackedLanes) * lattice.PackedBits
@@ -370,54 +370,6 @@ func JoinAll(ds []*DepFunc) *DepFunc {
 	return out
 }
 
-// MostSpecific returns the subset of ds that is not redundant: d is
-// redundant iff some other element is strictly more specific than d
-// (∃d' ⊑ d, d' ≠ d). Exact duplicates are unified first. The relative
-// order of survivors is preserved from ds.
-func MostSpecific(ds []*DepFunc) []*DepFunc {
-	// Unify duplicates.
-	seen := make(map[string]bool, len(ds))
-	uniq := make([]*DepFunc, 0, len(ds))
-	for _, d := range ds {
-		k := d.Key()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, d)
-		}
-	}
-	// Sort indices by weight: a hypothesis can only be dominated by
-	// one of smaller or equal weight (Distance is strictly monotonic
-	// on the lattice order, so d' ⊏ d implies Weight(d') < Weight(d)).
-	idx := make([]int, len(uniq))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return uniq[idx[a]].Weight() < uniq[idx[b]].Weight() })
-	redundant := make([]bool, len(uniq))
-	for a := 0; a < len(idx); a++ {
-		i := idx[a]
-		if redundant[i] {
-			continue
-		}
-		for b := a + 1; b < len(idx); b++ {
-			j := idx[b]
-			if redundant[j] {
-				continue
-			}
-			if uniq[i].Lt(uniq[j]) {
-				redundant[j] = true
-			}
-		}
-	}
-	out := make([]*DepFunc, 0, len(uniq))
-	for i, d := range uniq {
-		if !redundant[i] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Table renders the dependency function as the square table layout
 // used throughout the paper, e.g.
 //
@@ -515,45 +467,6 @@ func MustParseTable(s string) *DepFunc {
 		panic(err)
 	}
 	return d
-}
-
-// RelaxViolations generalizes, in place and minimally, every entry
-// whose unconditional execution constraint is violated by the given
-// set of executed tasks: if d(a,b) ∈ {→, ←, ↔} and a executed while b
-// did not, the entry is relaxed to its conditional counterpart. This
-// is the end-of-period "test conditional dependencies" step of the
-// algorithm. It returns the number of relaxed entries.
-func (d *DepFunc) RelaxViolations(executed func(task int) bool) int {
-	return d.RelaxViolationsFunc(executed, nil)
-}
-
-// RelaxViolationsFunc is RelaxViolations with an audit callback:
-// onRelax (when non-nil) is invoked for every relaxed entry with its
-// position and the old→new lattice transition, in row-major order.
-// The provenance recorder uses it to attribute end-of-period
-// relaxations.
-func (d *DepFunc) RelaxViolationsFunc(executed func(task int) bool, onRelax func(i, j int, old, new lattice.Value)) int {
-	n := d.ts.Len()
-	relaxed := 0
-	for i := 0; i < n; i++ {
-		if !executed(i) {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			v := d.At(i, j)
-			if lattice.HasExecConstraint(v) && !executed(j) {
-				d.Set(i, j, lattice.Relax(v))
-				relaxed++
-				if onRelax != nil {
-					onRelax(i, j, v, lattice.Relax(v))
-				}
-			}
-		}
-	}
-	return relaxed
 }
 
 // Entries calls fn for every off-diagonal entry.

@@ -290,46 +290,6 @@ func TestJoinAllFolds(t *testing.T) {
 	}
 }
 
-func TestMostSpecificRemovesRedundantAndDuplicates(t *testing.T) {
-	ts := ts4()
-	spec := Bottom(ts)
-	spec.Set(0, 1, lattice.Fwd)
-	dup := spec.Clone()
-	gen := spec.Clone()
-	gen.Set(0, 1, lattice.FwdMaybe) // strictly more general
-	other := Bottom(ts)
-	other.Set(2, 3, lattice.Bwd) // incomparable
-	got := MostSpecific([]*DepFunc{gen, spec, dup, other})
-	if len(got) != 2 {
-		t.Fatalf("MostSpecific kept %d, want 2", len(got))
-	}
-	if !got[0].Equal(gen) && !got[0].Equal(spec) && !got[0].Equal(other) {
-		t.Error("unexpected survivor")
-	}
-	for _, d := range got {
-		if d.Equal(gen) {
-			t.Error("redundant hypothesis survived")
-		}
-	}
-}
-
-func TestMostSpecificPairwiseIncomparable(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	ts := ts4()
-	var ds []*DepFunc
-	for k := 0; k < 40; k++ {
-		ds = append(ds, randDep(r, ts))
-	}
-	out := MostSpecific(ds)
-	for i := range out {
-		for j := range out {
-			if i != j && out[i].Leq(out[j]) {
-				t.Fatalf("survivors comparable: %d <= %d", i, j)
-			}
-		}
-	}
-}
-
 func TestTableRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for k := 0; k < 20; k++ {

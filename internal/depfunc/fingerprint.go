@@ -9,9 +9,12 @@ import "github.com/blackbox-rt/modelgen/internal/lattice"
 // (Key) for each comparison — an O(t²) allocation per child on the
 // hottest path of the O(m·b² + m·b·t²) heuristic. The engine instead
 // maintains a 64-bit fingerprint incrementally: every entry mutation
-// (Set, JoinAt, JoinWith, Meet, RelaxViolations) XORs out the old
-// entry's hash and XORs in the new one, so reading the fingerprint is
-// O(1) and allocation-free.
+// XORs out the old entry's hash and XORs in the new one, so reading the
+// fingerprint is O(1) and allocation-free. The single-entry paths (Set,
+// JoinAt) go through setIdx or update the one lane in place; the
+// word-parallel paths (JoinWith, Meet, and RelaxMasked, which
+// RelaxViolations wraps) XOR in laneDiffHash of each word they change,
+// which visits only the lanes that differ.
 //
 // The fingerprint is a Zobrist hash: each (entry index, lattice value)
 // combination contributes a fixed pseudo-random 64-bit token, and the

@@ -1,6 +1,7 @@
 package depfunc
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/lattice"
@@ -8,8 +9,10 @@ import (
 
 // FuzzPackedDepFunc drives a packed matrix and its scalar Reference
 // shadow through the same random operation sequence — Set, JoinAt,
-// join-merge, meet, copy-on-write cloning — and demands bit-identical
-// entries, fingerprints, weights and keys after every step. It is the
+// join-merge, meet, copy-on-write cloning, end-of-period relaxation —
+// and demands bit-identical entries, fingerprints, weights and keys
+// after every step (and, for relaxation, the same count and onRelax
+// sequence). It is the
 // fuzz arm of the packed-kernel differential tier: the property tests
 // pin the word kernels, this target hunts for divergence in the
 // incremental bookkeeping (fingerprint deltas, copy-on-write
@@ -19,6 +22,10 @@ func FuzzPackedDepFunc(f *testing.F) {
 	f.Add([]byte{9, 1, 0, 1, 6, 2, 0, 0, 0, 3, 4, 5, 4, 0, 0, 5, 1, 1})
 	f.Add([]byte{11, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5})
 	f.Add([]byte{5})
+	// 9 tasks: two → entries, one ← entry, then a relaxation with
+	// tasks 0, 3 and 8 executed, which relaxes entries in the first
+	// and the last word.
+	f.Add([]byte{7, 7, 0, 1, 7, 8, 2, 14, 3, 0, 6, 0x01, 0x09})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
@@ -53,8 +60,8 @@ func FuzzPackedDepFunc(f *testing.F) {
 			op, a, b := ops[0], ops[1], ops[2]
 			ops = ops[3:]
 			i, j := int(a)%n, int(b)%n
-			v := lattice.Value(int(op/6) % 7)
-			switch op % 6 {
+			v := lattice.Value(int(op/7) % 7)
+			switch op % 7 {
 			case 0:
 				if i == j {
 					continue
@@ -102,6 +109,18 @@ func FuzzPackedDepFunc(f *testing.F) {
 					d2 = Bottom(ts)
 				}
 				check(step, "reset")
+			case 6:
+				// a and b are the executed-task bits of tasks 8..15
+				// and 0..7.
+				ex := uint(a)<<8 | uint(b)
+				executed := func(task int) bool { return ex>>task&1 == 1 }
+				var got, want []relaxStep
+				gotN := d.RelaxMasked(Violations(ts, executed, nil), recordRelax(&got))
+				wantN := r.RelaxViolations(executed, recordRelax(&want))
+				if gotN != wantN || !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: relaxed %d %v, reference %d %v", step, gotN, got, wantN, want)
+				}
+				check(step, "relax")
 			}
 		}
 		if err := r.Matches(d); err != nil {

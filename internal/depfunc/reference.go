@@ -91,6 +91,33 @@ func (r *Reference) MeetWith(other *Reference) {
 	}
 }
 
+// RelaxViolations is the scalar end-of-period relaxation: cell by
+// cell in row-major order, every unconditional entry (a, b) with a
+// executed and b not is relaxed to its conditional counterpart, and
+// onRelax (when non-nil) sees each transition. It returns the number
+// of relaxed entries.
+func (r *Reference) RelaxViolations(executed func(task int) bool, onRelax func(i, j int, old, new lattice.Value)) int {
+	n := r.ts.Len()
+	relaxed := 0
+	for i := 0; i < n; i++ {
+		if !executed(i) {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			v := r.At(i, j)
+			if i == j || executed(j) || !lattice.HasExecConstraint(v) {
+				continue
+			}
+			r.Set(i, j, lattice.Relax(v))
+			relaxed++
+			if onRelax != nil {
+				onRelax(i, j, v, lattice.Relax(v))
+			}
+		}
+	}
+	return relaxed
+}
+
 // Clone returns a deep copy.
 func (r *Reference) Clone() *Reference {
 	cp := &Reference{ts: r.ts, v: make([]lattice.Value, len(r.v)), fp: r.fp}

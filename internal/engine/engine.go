@@ -197,6 +197,14 @@ type Engine struct {
 	arenas []hypothesis.Arena
 	// scratch is the sequential fan-out's reusable child buffer.
 	scratch []*hypothesis.Hypothesis
+
+	// Postprocess scratch, grown on first use and reused period after
+	// period: the violation mask, and the prune's survivor frontier
+	// and counting-sort buckets and output (prune.go).
+	relaxMask depfunc.ViolationMask
+	frontier  depfunc.Frontier
+	counts    []int
+	sorted    []*hypothesis.Hypothesis
 }
 
 // newEngine returns an engine over ts with cfg normalized and no
@@ -378,13 +386,14 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped int) {
 	sp := obs.StartSpan(e.cfg.Observer, obs.PhasePostprocess)
 	endCtx := hypothesis.StepCtx{Period: p.Index, Msg: -1}
+	e.relaxMask = depfunc.Violations(e.ts, func(i int) bool { return executed[i] }, e.relaxMask)
 	for _, h := range e.cur {
-		relaxed += h.Relax(func(i int) bool { return executed[i] }, endCtx)
+		relaxed += h.Relax(e.relaxMask, endCtx)
 		h.ClearAssumptions()
 	}
 	e.stats.Relaxations += relaxed
 	before := len(e.cur)
-	e.cur = PruneMostSpecific(e.cur, e.cfg.Observer, p.Index)
+	e.cur = e.pruneMostSpecific(e.cur, p.Index)
 	// Every surviving assumption list was just cleared and no other
 	// holder outlives the period, so the cons-cell arenas can recycle
 	// wholesale. The main arena keeps at most one spare header per
@@ -578,59 +587,6 @@ func minimalChildren(children []*hypothesis.Hypothesis, ar *hypothesis.Arena) []
 			out = append(out, c)
 		} else {
 			c.Release(ar)
-		}
-	}
-	return out
-}
-
-// PruneMostSpecific unifies equal hypotheses and removes redundant
-// ones: h is redundant iff some other hypothesis is strictly more
-// specific (Section 3.1 post-processing). Removals are reported to
-// obsv (reason "duplicate" or "redundant") when it is non-nil.
-// Deduplication keys on the dependency-function fingerprint alone:
-// assumption sets are already cleared at this point.
-func PruneMostSpecific(hs []*hypothesis.Hypothesis, obsv obs.Observer, period int) []*hypothesis.Hypothesis {
-	seen := make(map[uint64][]*depfunc.DepFunc, len(hs))
-	uniq := make([]*hypothesis.Hypothesis, 0, len(hs))
-	for _, h := range hs {
-		fp := h.D.Fingerprint()
-		dup := false
-		for _, o := range seen[fp] {
-			if h.D.Equal(o) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[fp] = append(seen[fp], &h.D)
-			uniq = append(uniq, h)
-		} else if obsv != nil {
-			obsv.OnHypothesisPruned(obs.HypothesisPruned{
-				Period: period, Reason: "duplicate", Weight: h.Weight(),
-			})
-		}
-	}
-	// Sort by weight: a hypothesis can only be dominated by a
-	// strictly lighter one.
-	sortByWeight(uniq)
-	out := make([]*hypothesis.Hypothesis, 0, len(uniq))
-	for i, h := range uniq {
-		redundant := false
-		for j := 0; j < i; j++ {
-			if uniq[j].Weight() >= h.Weight() {
-				break
-			}
-			if uniq[j].D.Lt(&h.D) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, h)
-		} else if obsv != nil {
-			obsv.OnHypothesisPruned(obs.HypothesisPruned{
-				Period: period, Reason: "redundant", Weight: h.Weight(),
-			})
 		}
 	}
 	return out

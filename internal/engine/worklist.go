@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
 	"github.com/blackbox-rt/modelgen/internal/obs"
@@ -162,9 +161,4 @@ func (wl *workList) releaseRetired() {
 		wl.retired[i] = nil
 	}
 	wl.retired = wl.retired[:0]
-}
-
-// sortByWeight stably sorts hypotheses by ascending weight.
-func sortByWeight(hs []*hypothesis.Hypothesis) {
-	sort.SliceStable(hs, func(a, b int) bool { return hs[a].Weight() < hs[b].Weight() })
 }

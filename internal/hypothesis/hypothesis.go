@@ -316,23 +316,23 @@ func (h *Hypothesis) RetainAssumptions(keep func(depfunc.Pair) bool, ar *Arena) 
 }
 
 // Relax applies the end-of-period conditional-dependency test: every
-// unconditional entry (→, ←, ↔) whose implication is violated by the
-// period's executed-task set is generalized minimally to its
+// unconditional entry (→, ←, ↔) whose implication the period violates
+// — its lane is set in mask, built by depfunc.Violations from the
+// period's executed-task set — is generalized minimally to its
 // conditional counterpart. It returns the number of relaxed entries.
 // ctx supplies the period for provenance recording (Msg is forced to
 // -1: relaxation is an end-of-period step).
-func (h *Hypothesis) Relax(executed func(task int) bool, ctx StepCtx) int {
-	var n int
+func (h *Hypothesis) Relax(mask depfunc.ViolationMask, ctx StepCtx) int {
+	var onRelax func(i, j int, old, new lattice.Value)
 	if h.provOn {
-		n = h.D.RelaxViolationsFunc(executed, func(i, j int, old, new lattice.Value) {
+		onRelax = func(i, j int, old, new lattice.Value) {
 			h.prov = &provNode{step: Step{
 				Period: ctx.Period, Msg: -1, S: -1, R: -1,
 				I: i, J: j, Old: old, New: new, Action: "relax",
 			}, prev: h.prov}
-		})
-	} else {
-		n = h.D.RelaxViolations(executed)
+		}
 	}
+	n := h.D.RelaxMasked(mask, onRelax)
 	if n > 0 {
 		h.weight = h.D.Weight()
 	}

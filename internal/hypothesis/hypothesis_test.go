@@ -97,7 +97,7 @@ func TestClearAssumptions(t *testing.T) {
 func TestRelaxUpdatesWeight(t *testing.T) {
 	h := Bottom(ts3()).Assume(depfunc.Pair{S: 0, R: 1}, lattice.Fwd, lattice.Bwd, StepCtx{})
 	// A period where a executed but b did not.
-	n := h.Relax(func(i int) bool { return i == 0 || i == 2 }, StepCtx{})
+	n := h.Relax(depfunc.Violations(h.D.TaskSet(), func(i int) bool { return i == 0 || i == 2 }, nil), StepCtx{})
 	if n != 1 {
 		t.Fatalf("relaxed %d, want 1", n)
 	}
@@ -261,7 +261,7 @@ func TestRelaxProvenance(t *testing.T) {
 	h := base.Assume(depfunc.Pair{S: 0, R: 1}, lattice.Fwd, lattice.Bwd, StepCtx{Period: 0, Msg: 0, MsgID: "m1"})
 	// Period executes t1 (index 0) and t3 (index 2) but not t2: the
 	// unconditional -> from t1 to t2 is violated and must relax.
-	n := h.Relax(func(i int) bool { return i == 0 || i == 2 }, StepCtx{Period: 0})
+	n := h.Relax(depfunc.Violations(h.D.TaskSet(), func(i int) bool { return i == 0 || i == 2 }, nil), StepCtx{Period: 0})
 	if n == 0 {
 		t.Fatal("nothing relaxed; test premise broken")
 	}

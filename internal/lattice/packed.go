@@ -93,6 +93,17 @@ func MeetWords(a, b uint64) uint64 {
 // lane of b: the packed order is the subset order on codes.
 func LeqWords(a, b uint64) bool { return a|b == b }
 
+// RelaxWords returns the bits that the end-of-period relaxation adds
+// to w in the lanes selected by mask: the Q bit of every selected lane
+// holding an unconditional value (→ 001, ← 010, ↔ 011 — F or B set, Q
+// clear). w|RelaxWords(w, mask) is the relaxed word; lanes outside
+// mask and lanes without an execution constraint (‖ and the
+// conditional values) are left alone. mask selects a lane through its
+// Q bit, so a mask built from whole-lane masks works as is.
+func RelaxWords(w, mask uint64) uint64 {
+	return ((w | w>>1) & packedM0) << 2 & mask &^ w
+}
+
 // WeightWord returns the summed Definition-7 distance of every lane of
 // w: Σ Level(lane)² where Level is the lane popcount. Using
 // Level² = Level + 2·(pairs of set bits), the whole word reduces to
@@ -145,7 +156,12 @@ func init() {
 				panic("lattice: packed order disagrees with the lattice order")
 			}
 		}
-		if WeightWord(PackValue(a)) != Distance(a) {
+		pa := PackValue(a)
+		if UnpackValue(pa|RelaxWords(pa, laneMask)) != Relax(a) ||
+			RelaxWords(pa, 0) != 0 {
+			panic("lattice: packed relax disagrees with Relax")
+		}
+		if WeightWord(pa) != Distance(a) {
 			panic("lattice: packed weight disagrees with Distance")
 		}
 	}

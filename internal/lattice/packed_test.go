@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -204,5 +205,85 @@ func TestValidPackedWord(t *testing.T) {
 	}
 	if ValidPackedWord(1<<63, PackedLanes) {
 		t.Fatal("spare top bit accepted")
+	}
+}
+
+// TestRelaxWordsEveryLane exercises every value with its lane selected
+// and unselected by the mask, in every one of the 21 lane positions,
+// against the scalar Relax. The surrounding lanes hold a deterministic
+// mix of values under three mask backgrounds (none, all, alternating)
+// and are checked too, so a kernel whose shifts carry a bit into a
+// neighbouring lane is caught; the added bits must be Q bits only.
+func TestRelaxWordsEveryLane(t *testing.T) {
+	backgrounds := []func(i int) bool{
+		func(int) bool { return false },
+		func(int) bool { return true },
+		func(i int) bool { return i%2 == 0 },
+	}
+	for bgi, bg := range backgrounds {
+		for lane := 0; lane < PackedLanes; lane++ {
+			for v := Value(0); v < numValues; v++ {
+				for _, on := range []bool{false, true} {
+					vs := make([]Value, PackedLanes)
+					sel := make([]bool, PackedLanes)
+					var mask uint64
+					for i := range vs {
+						vs[i] = Value((i*5 + lane + int(v)) % int(numValues))
+						sel[i] = bg(i)
+					}
+					vs[lane], sel[lane] = v, on
+					for i, s := range sel {
+						if s {
+							mask |= laneMask << (uint(i) * PackedBits)
+						}
+					}
+					w := packSlice(vs)[0]
+					add := RelaxWords(w, mask)
+					if add&^(packedM0<<2) != 0 {
+						t.Fatalf("background %d lane %d v=%s on=%v: added non-Q bits %#x", bgi, lane, v, on, add)
+					}
+					got := w | add
+					if !ValidPackedWord(got, PackedLanes) {
+						t.Fatalf("background %d lane %d v=%s on=%v: invalid relaxed word %#x", bgi, lane, v, on, got)
+					}
+					changed := 0
+					for i := 0; i < PackedLanes; i++ {
+						want := vs[i]
+						if sel[i] {
+							want = Relax(vs[i])
+						}
+						if want != vs[i] {
+							changed++
+						}
+						if g := laneOf([]uint64{got}, i); g != want {
+							t.Fatalf("background %d lane %d (test lane %d, v=%s on=%v): relaxed to %s, want %s",
+								bgi, i, lane, v, on, g, want)
+						}
+					}
+					if n := bits.OnesCount64(add); n != changed {
+						t.Fatalf("background %d lane %d v=%s on=%v: %d bits added for %d relaxed lanes", bgi, lane, v, on, n, changed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRelaxWordsOnlySelectsQPlane: a mask that sets only the Q bit of
+// a lane selects it exactly like a whole-lane mask, and F/B mask bits
+// alone select nothing.
+func TestRelaxWordsOnlySelectsQPlane(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 2000; trial++ {
+		w := randomWord(rng, PackedLanes)
+		m := rng.Uint64() & usedLaneBits
+		full := ((m | m>>1 | m>>2) & packedM0) * laneMask
+		q := full & (packedM0 << 2)
+		if RelaxWords(w, full) != RelaxWords(w, q) {
+			t.Fatalf("whole-lane and Q-only masks disagree: w=%#x mask=%#x", w, full)
+		}
+		if RelaxWords(w, full&^(packedM0<<2)) != 0 {
+			t.Fatalf("F/B-only mask selected a lane: w=%#x mask=%#x", w, full)
+		}
 	}
 }
