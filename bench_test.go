@@ -13,8 +13,8 @@
 //   - BenchmarkE5ExactAmbiguity — the exponential growth of the exact
 //     algorithm with per-message ambiguity (the practical face of
 //     Theorem 1's NP-hardness).
-//   - BenchmarkAblation* — matcher backend (backtracking vs DPLL) and
-//     eager condition-4 pruning.
+//   - BenchmarkAblationMatcher — matcher backend (backtracking vs
+//     DPLL).
 package modelgen_test
 
 import (
@@ -251,27 +251,6 @@ func BenchmarkAblationMatcher(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationEagerPrune measures the strict condition-4 reading
-// (eager per-parent minimality) against the default on the lite exact
-// configuration.
-func BenchmarkAblationEagerPrune(b *testing.B) {
-	tr := liteCaseStudyTrace(b)
-	for _, eager := range []bool{false, true} {
-		b.Run(fmt.Sprintf("eager=%v", eager), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := modelgen.Learn(tr, modelgen.LearnOptions{
-					Policy:        modelgen.CaseStudyPolicy(true),
-					EagerPrune:    eager,
-					MaxHypotheses: 10_000_000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkE2Reachability: explicit-state exploration of the learned

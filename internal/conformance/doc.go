@@ -14,6 +14,12 @@
 //     dependency function (∃h : h ⊑ d_true). The true function is
 //     computed from the generating design model by exhaustively
 //     enumerating disjunction resolutions (see TruthFromModel).
+//   - Theorem 3 completeness (oracle "thm3", corpus-independent): on
+//     seeded three-task designs (thm3Trace) every one of the 7⁶
+//     dependency functions is run through depfunc.MatchTrace, and the
+//     exact result must equal the ⊑-minimal elements of the
+//     consistent set; every hypothesis the bounded heuristic returns
+//     at bounds 1, 2 and 4 must dominate some exact result.
 //   - Bound monotonicity (oracle "bound"): the bounded heuristic's
 //     recommended answer generalizes the exact answer
 //     (LUB_exact ⊑ LUB_bound for every configured bound), and larger

@@ -63,6 +63,7 @@ func Run(c *Corpus, o obs.Observer) *Report {
 	r.Global = append(r.Global,
 		record(r, o, "corpus", "lattice", func() ([]Violation, error) { return LatticeLaws(), nil }),
 		record(r, o, "corpus", "fingerprint", func() ([]Violation, error) { return FingerprintKeyAgreement(), nil }),
+		record(r, o, "corpus", "thm3", thm3Sweep),
 	)
 	for _, e := range c.Entries {
 		er := EntryReport{Name: e.Name}
@@ -172,12 +173,13 @@ func record(r *Report, o obs.Observer, entry, oracle string, fn func() ([]Violat
 }
 
 // Smoke is the harness's self-test: it injects deliberate faults and
-// fails unless the oracles catch them. Two faults are injected — a
-// lattice join returning a non-least upper bound for (→, ←), and a
+// fails unless the oracles catch them. Three faults are injected — a
+// lattice join returning a non-least upper bound for (→, ←), a
 // ground-truth table with one entry demoted below what the trace
-// supports — covering the LUB oracle and the Theorem-2 oracle
-// respectively. It also asserts the unbroken counterparts pass, so a
-// vacuously-failing oracle cannot hide.
+// supports, and an exact result missing a minimal hypothesis or
+// holding a non-minimal one — covering the LUB, Theorem-2 and
+// Theorem-3 oracles respectively. It also asserts the unbroken
+// counterparts pass, so a vacuously-failing oracle cannot hide.
 func Smoke() error {
 	// Fault 1: Join(→, ←) = ↔? — an upper bound, but not the least
 	// one (the correct answer is ↔). The lattice oracle must notice.
@@ -216,5 +218,37 @@ func Smoke() error {
 	if len(vs) == 0 {
 		return fmt.Errorf("conformance: smoke: thm2 oracle missed a demoted ground-truth entry")
 	}
+
+	// Fault 3: hand the Theorem-3 comparison an exact result with one
+	// hypothesis missing, then one with the LUB of the hypotheses
+	// added (strictly above each of them, so consistent but not
+	// minimal). The seed's exact result has three hypotheses.
+	tr3, err := thm3Trace(thm3SmokeSeed)
+	if err != nil {
+		return err
+	}
+	exact, err := learner.Learn(tr3, learner.Options{})
+	if err != nil {
+		return fmt.Errorf("conformance: smoke: thm3 exact run: %v", err)
+	}
+	if len(exact.Hypotheses) < 2 {
+		return fmt.Errorf("conformance: smoke: thm3 seed %d has %d exact hypotheses, want at least 2",
+			thm3SmokeSeed, len(exact.Hypotheses))
+	}
+	minimal := minimalConsistent(exact.TaskSet, tr3, depfunc.CandidatePolicy{})
+	if vs := compareMinimal(exact.Hypotheses, minimal); len(vs) > 0 {
+		return fmt.Errorf("conformance: smoke: genuine exact result fails Theorem 3: %v", vs[0])
+	}
+	if len(compareMinimal(exact.Hypotheses[1:], minimal)) == 0 {
+		return fmt.Errorf("conformance: smoke: thm3 oracle missed a dropped minimal hypothesis")
+	}
+	widened := append(append([]*depfunc.DepFunc(nil), exact.Hypotheses...), depfunc.JoinAll(exact.Hypotheses))
+	if len(compareMinimal(widened, minimal)) == 0 {
+		return fmt.Errorf("conformance: smoke: thm3 oracle missed a non-minimal hypothesis")
+	}
 	return nil
 }
+
+// thm3SmokeSeed is a thm3Seeds seed whose exact result has more than
+// one hypothesis.
+const thm3SmokeSeed = 4

@@ -16,7 +16,9 @@
 //  2. Generalize — the message-guided generalization pass: every live
 //     hypothesis is extended by every admissible candidate
 //     assumption, with heuristic least-upper-bound merging when a
-//     bound is configured.
+//     bound is configured. Without a bound, every hypothesis another
+//     one subsumes (a ⊑ function under a ⊆ assumption set) is
+//     dropped after each message (prune.go's subsume).
 //  3. Postprocess — end-of-period relaxation of violated
 //     unconditional entries, assumption clearing, unification and
 //     most-specific pruning, and the history update.
@@ -84,10 +86,6 @@ type Config struct {
 	// Policy controls timing-based candidate-pair computation.
 	Policy depfunc.CandidatePolicy
 
-	// EagerPrune keeps only the minimal children one parent spawns
-	// for one message (strict reading of generalization condition 4).
-	EagerPrune bool
-
 	// MaxHypotheses aborts the exact algorithm with
 	// ErrTooManyHypotheses when the working set grows beyond this
 	// size. Zero means unlimited.
@@ -143,7 +141,10 @@ type VerifyOutcome struct {
 
 // Stats instruments a run. The engine maintains the per-period
 // counters; the front-ends fill in the result-assembly fields
-// (Final, DroppedUnsound, NegativeRejections, Elapsed).
+// (Final, DroppedUnsound, NegativeRejections, Elapsed). In exact mode
+// Peak is the post-subsumption peak: it is measured after each
+// message's in-period subsumption, so it counts only hypotheses no
+// other live one subsumes (the bounded mode does not subsume).
 type Stats struct {
 	Periods        int // periods processed
 	Messages       int // message occurrences processed
@@ -151,7 +152,7 @@ type Stats struct {
 	Children       int // hypotheses created by generalization
 	Merges         int // heuristic least-upper-bound merges
 	Relaxations    int // entries relaxed by end-of-period tests
-	Peak           int // peak working-set size
+	Peak           int // peak working-set size after a message
 	Final          int // hypotheses in the returned set
 	DroppedUnsound int // results dropped by verification
 	// NegativeRejections counts final hypotheses discarded because
@@ -198,13 +199,18 @@ type Engine struct {
 	// scratch is the sequential fan-out's reusable child buffer.
 	scratch []*hypothesis.Hypothesis
 
-	// Postprocess scratch, grown on first use and reused period after
-	// period: the violation mask, and the prune's survivor frontier
-	// and counting-sort buckets and output (prune.go).
+	// Prune scratch, grown on first use and reused message after
+	// message and period after period (prune.go): the violation mask,
+	// the survivor frontier, the counting-sort buckets, the sorted
+	// period-end set, and the in-period subsumption's sort order, drop
+	// marks and assumption bitset.
 	relaxMask depfunc.ViolationMask
 	frontier  depfunc.Frontier
 	counts    []int
 	sorted    []*hypothesis.Hypothesis
+	order     []int
+	drop      []bool
+	asmBits   []uint64
 }
 
 // newEngine returns an engine over ts with cfg normalized and no
@@ -361,6 +367,9 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 			}
 		}
 		cur = e.forgetDeadAssumptions(next, live[mi+1])
+		if e.cfg.Bound <= 0 {
+			cur = e.subsume(cur, p.Index)
+		}
 		e.stats.Messages++
 		e.stats.Candidates += len(cands[mi])
 		if len(cur) > e.stats.Peak {
@@ -480,15 +489,13 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 
 // childrenOf appends the admissible children of one parent for one
 // message to dst (a scratch slice on the sequential path, a chunk
-// buffer holding earlier parents' children on the parallel one; eager
-// pruning is confined to the new segment either way). It reads only
-// immutable shared state (hist is frozen during the generalize stage),
-// so concurrent calls on distinct parents are safe.
+// buffer holding earlier parents' children on the parallel one). It
+// reads only immutable shared state (hist is frozen during the
+// generalize stage), so concurrent calls on distinct parents are safe.
 func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
 	ctx hypothesis.StepCtx, dst []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
 
 	n := e.ts.Len()
-	base := len(dst)
 	for _, pr := range pairs {
 		fwd := lattice.Fwd
 		if e.hist[pr.S*n+pr.R] {
@@ -501,10 +508,6 @@ func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
 		if c := h.Assume(pr, fwd, bwd, ctx); c != nil {
 			dst = append(dst, c)
 		}
-	}
-	if e.cfg.EagerPrune {
-		kept := minimalChildren(dst[base:], ctx.Arena)
-		dst = dst[:base+len(kept)]
 	}
 	return dst
 }
@@ -559,34 +562,6 @@ func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[dep
 		} else {
 			// Unified away, referenced by nothing else: recycle.
 			h.Release(ar)
-		}
-	}
-	return out
-}
-
-// minimalChildren keeps only the minimal elements (by the pointwise
-// order on dependency functions) among the children one parent
-// spawned for one message. Children with equal dependency functions
-// but different assumptions are all kept. Dominated children are
-// fresh, unshared objects, so they are recycled on the spot into ar,
-// the arena of the goroutine that spawned them (a fan-out worker's
-// own chunk arena; the matrix buffer arena is concurrent).
-func minimalChildren(children []*hypothesis.Hypothesis, ar *hypothesis.Arena) []*hypothesis.Hypothesis {
-	dominated := make([]bool, len(children))
-	for i, c := range children {
-		for j, o := range children {
-			if i != j && o.D.Lt(&c.D) {
-				dominated[i] = true
-				break
-			}
-		}
-	}
-	out := children[:0]
-	for i, c := range children {
-		if !dominated[i] {
-			out = append(out, c)
-		} else {
-			c.Release(ar)
 		}
 	}
 	return out

@@ -139,16 +139,6 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkerDeterminismEagerPrune covers the EagerPrune child filter
-// on the parallel path (minimalChildren runs inside the workers).
-func TestWorkerDeterminismEagerPrune(t *testing.T) {
-	base := runEngine(t, trace.PaperFigure2(), Config{EagerPrune: true})
-	par := runEngine(t, trace.PaperFigure2(), Config{EagerPrune: true, Workers: 4})
-	if !reflect.DeepEqual(workingKeys(base), workingKeys(par)) {
-		t.Error("EagerPrune: parallel diverges from sequential")
-	}
-}
-
 // TestEngineErrors: an inexplicable message empties the set with
 // ErrNoHypothesis wrapped in period/message context, and the exact
 // algorithm respects MaxHypotheses.

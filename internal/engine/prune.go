@@ -47,7 +47,7 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 			// Every survivor so far is strictly lighter than h.
 			w, lighter = h.Weight(), len(out)
 		}
-		if fr.Covers(&h.D, lighter) {
+		if fr.Covers(&h.D, nil, lighter) {
 			if obsv != nil {
 				obsv.OnHypothesisPruned(obs.HypothesisPruned{
 					Period: period, Reason: "redundant", Weight: h.Weight(),
@@ -55,11 +55,102 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 			}
 			continue
 		}
-		fr.Add(&h.D)
+		fr.Add(&h.D, nil)
 		out = append(out, h)
 	}
 	clear(sorted)
 	clear(hs[len(out):cap(hs)])
+	return out
+}
+
+// subsume drops, from one message's deduplicated working set, every h2
+// that another member h1 dominates: D(h1) ⊑ D(h2) and asm(h1) ⊆
+// asm(h2). Whatever h2 can still become by the period end, h1 can
+// become something at least as specific, so the period-end prune would
+// remove or unify h2's descendants anyway (THEORY.md §3a). Survivors
+// keep their input order, compacted into hs's backing array with the
+// tail cleared; each dropped hypothesis is reported as "subsumed", in
+// input order, and released into the main arena.
+//
+// Dedup has unified equal states, so a dominator is strictly lighter,
+// or equally heavy with strictly fewer assumptions: it comes strictly
+// before h2 in (weight, assumption count) order. The scan visits that
+// order and tests each hypothesis only against the survivors of
+// strictly earlier keys; as in pruneMostSpecific, a dominator that was
+// itself dropped has a surviving dominator, which then dominates h2 by
+// transitivity. One frontier row per survivor holds its packed lanes
+// followed by its assumption bitset, so one word-wise subset test
+// decides both halves of the rule.
+func (e *Engine) subsume(hs []*hypothesis.Hypothesis, period int) []*hypothesis.Hypothesis {
+	if len(hs) < 2 {
+		return hs
+	}
+	lo, hi, amax := hs[0].Weight(), hs[0].Weight(), 0
+	for _, h := range hs {
+		lo, hi = min(lo, h.Weight()), max(hi, h.Weight())
+		amax = max(amax, h.AssumptionCount())
+	}
+	key := func(h *hypothesis.Hypothesis) int {
+		return (h.Weight()-lo)*(amax+1) + h.AssumptionCount()
+	}
+	// A counting sort of input positions by key: counts[k] becomes the
+	// output position of the next hypothesis with key k.
+	counts := grow(e.counts, (hi-lo+1)*(amax+1))
+	clear(counts)
+	for _, h := range hs {
+		counts[key(h)]++
+	}
+	pos := 0
+	for i, c := range counts {
+		counts[i], pos = pos, pos+c
+	}
+	order := grow(e.order, len(hs))
+	for i, h := range hs {
+		k := key(h)
+		order[counts[k]] = i
+		counts[k]++
+	}
+	drop := grow(e.drop, len(hs))
+	clear(drop)
+	fr := &e.frontier
+	fr.Reset()
+	kept, earlier, last := 0, 0, -1
+	for _, i := range order {
+		h := hs[i]
+		if k := key(h); k != last {
+			// Every survivor so far has a strictly smaller key.
+			last, earlier = k, kept
+		}
+		e.asmBits = h.AssumptionBits(e.asmBits)
+		if fr.Covers(&h.D, e.asmBits, earlier) {
+			drop[i] = true
+			continue
+		}
+		fr.Add(&h.D, e.asmBits)
+		kept++
+	}
+	e.counts, e.order, e.drop = counts, order, drop
+	if kept == len(hs) {
+		return hs
+	}
+	obsv := e.cfg.Observer
+	ar := e.mainArena()
+	out := hs[:0]
+	for i, h := range hs {
+		if !drop[i] {
+			out = append(out, h)
+			continue
+		}
+		if obsv != nil {
+			obsv.OnHypothesisPruned(obs.HypothesisPruned{
+				Period: period, Reason: "subsumed", Weight: h.Weight(),
+			})
+		}
+		// Referenced by nothing but the dedup set, which no later
+		// equality check consults before its next Reset.
+		h.Release(ar)
+	}
+	clear(hs[len(out):])
 	return out
 }
 

@@ -211,6 +211,26 @@ func (h *Hypothesis) Assumed(p depfunc.Pair) bool {
 // AssumptionCount returns the number of pairs assumed this period.
 func (h *Hypothesis) AssumptionCount() int { return h.acount }
 
+// AssumptionBits writes the assumption set into dst as an n²-bit
+// set over the n tasks, bit S·n+R for each assumed pair, and returns
+// it: ⌈n²/64⌉ words, reusing dst's storage when it is large enough.
+// Two sets over the same tasks are then nested exactly when their
+// words are.
+func (h *Hypothesis) AssumptionBits(dst []uint64) []uint64 {
+	n := h.D.N()
+	nw := (n*n + 63) / 64
+	if cap(dst) < nw {
+		dst = make([]uint64, nw)
+	}
+	dst = dst[:nw]
+	clear(dst)
+	for c := h.asm; c != nil; c = c.prev {
+		b := c.p.S*n + c.p.R
+		dst[b/64] |= 1 << (b % 64)
+	}
+	return dst
+}
+
 // Release returns the hypothesis's matrix buffer to the depfunc
 // buffer arena and the header itself to ar's freelist (a nil ar lets
 // the garbage collector have it). The depfunc.Release aliasing rules

@@ -87,13 +87,6 @@ type Options struct {
 	// Policy controls timing-based candidate-pair computation.
 	Policy depfunc.CandidatePolicy
 
-	// EagerPrune enables the strict reading of condition 4 of the
-	// generalization step: among the children one parent spawns for
-	// one message, only the minimal ones are kept. The default
-	// (false) keeps all children and prunes at the end of the period,
-	// which is never less complete.
-	EagerPrune bool
-
 	// MaxHypotheses aborts the exact algorithm with
 	// ErrTooManyHypotheses when the working set grows beyond this
 	// size. Zero means unlimited.
@@ -177,7 +170,6 @@ func (opt Options) engineConfig() engine.Config {
 	return engine.Config{
 		Bound:          opt.Bound,
 		Policy:         opt.Policy,
-		EagerPrune:     opt.EagerPrune,
 		MaxHypotheses:  opt.MaxHypotheses,
 		Workers:        opt.Workers,
 		PeriodLiveCap:  opt.PeriodLiveCap,

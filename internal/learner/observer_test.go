@@ -40,10 +40,12 @@ func TestObserverEventSequenceExact(t *testing.T) {
 	// algorithm never merges), closes the generalize span, may prune
 	// at the period end, closes the postprocess span and then the
 	// period with period_end; the run closes with run_end. In periods
-	// without pruning the generalize and postprocess spans are
-	// adjacent and collapse into one "span" entry. Period 1 of the
-	// paper trace prunes nothing (no duplicate or redundant
-	// hypotheses), periods 2 and 3 do.
+	// without period-end pruning the generalize and postprocess spans
+	// are adjacent and collapse into one "span" entry. Inside the
+	// period the exact algorithm drops subsumed hypotheses after each
+	// message, before message_processed. Period 1 of the paper trace
+	// prunes nothing; in periods 2 and 3 every message subsumes, which
+	// leaves the period-end prune nothing to remove.
 	want := []string{
 		// The session opens with the engine announcement.
 		"engine_start",
@@ -52,18 +54,18 @@ func TestObserverEventSequenceExact(t *testing.T) {
 		"hypothesis_spawned", "message_processed",
 		"hypothesis_spawned", "message_processed",
 		"span", "period_end",
-		// period 1: 2 messages, end-of-period pruning kicks in.
+		// period 1: 2 messages, in-period subsumption kicks in.
 		"period_start", "span",
-		"hypothesis_spawned", "message_processed",
-		"hypothesis_spawned", "message_processed",
-		"span", "hypothesis_pruned", "span", "period_end",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"span", "period_end",
 		// period 2: 4 messages.
 		"period_start", "span",
-		"hypothesis_spawned", "message_processed",
-		"hypothesis_spawned", "message_processed",
-		"hypothesis_spawned", "message_processed",
-		"hypothesis_spawned", "message_processed",
-		"span", "hypothesis_pruned", "span", "period_end",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
+		"span", "period_end",
 		"run_end",
 	}
 	if got := collapse(rec.Kinds()); !reflect.DeepEqual(got, want) {
@@ -82,6 +84,11 @@ func TestObserverEventSequenceExact(t *testing.T) {
 	}
 	if n := rec.Count("hypothesis_merged"); n != 0 {
 		t.Errorf("exact run emitted %d merge events", n)
+	}
+	for _, e := range rec.OfKind("hypothesis_pruned") {
+		if p := e.(obs.HypothesisPruned); p.Reason != "subsumed" {
+			t.Errorf("pruned event %+v: want reason \"subsumed\"", p)
+		}
 	}
 
 	// Per-message payloads: candidate fan-out sums to Stats.Candidates

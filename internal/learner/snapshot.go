@@ -41,7 +41,6 @@ type Snapshot struct {
 	// Algorithmic options: a restored session must replay with the
 	// same algorithm parameters or its state would be meaningless.
 	Bound          int   `json:"bound,omitempty"`
-	EagerPrune     bool  `json:"eager_prune,omitempty"`
 	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
 	PeriodLiveCap  int   `json:"period_live_cap,omitempty"`
@@ -99,7 +98,6 @@ func (o *Online) Snapshot() (*Snapshot, error) {
 		Version:        SnapshotVersion,
 		Tasks:          o.eng.TaskSet().Names(),
 		Bound:          o.opt.Bound,
-		EagerPrune:     o.opt.EagerPrune,
 		MaxHypotheses:  o.opt.MaxHypotheses,
 		RetainPeriods:  o.opt.RetainPeriods,
 		PeriodLiveCap:  o.opt.PeriodLiveCap,
@@ -160,7 +158,7 @@ func (sp SnapshotPeriod) period() *trace.Period {
 }
 
 // RestoreOnline rebuilds an online session from a Snapshot. The
-// algorithmic options (Bound, Policy, EagerPrune, MaxHypotheses,
+// algorithmic options (Bound, Policy, MaxHypotheses,
 // RetainPeriods, PeriodLiveCap) come from the snapshot; opt supplies
 // only the runtime-facing knobs — Workers, Observer, Provenance,
 // VerifyResults, Negatives, OnPeriodVerify — which may differ from
@@ -174,7 +172,6 @@ func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
 		return nil, fmt.Errorf("learner: snapshot: %w", err)
 	}
 	opt.Bound = s.Bound
-	opt.EagerPrune = s.EagerPrune
 	opt.MaxHypotheses = s.MaxHypotheses
 	opt.RetainPeriods = s.RetainPeriods
 	opt.PeriodLiveCap = s.PeriodLiveCap

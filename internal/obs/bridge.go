@@ -147,7 +147,7 @@ func NewMetricsObserverWith(reg *Registry, opts MetricsObserverOptions) Observer
 		periods:       reg.Counter(MetricPeriods, "periods processed by the learner"),
 		messages:      reg.Counter(MetricMessages, "message occurrences processed"),
 		spawned:       reg.Counter(MetricSpawned, "hypotheses created by generalization"),
-		pruned:        reg.Counter(MetricPruned, "hypotheses removed by end-of-period pruning"),
+		pruned:        reg.Counter(MetricPruned, "hypotheses removed by pruning, at the period end or subsumed after a message"),
 		merges:        reg.Counter(MetricMerges, "heuristic least-upper-bound merges"),
 		relaxations:   reg.Counter(MetricRelaxations, "entries relaxed by end-of-period tests"),
 		runs:          reg.Counter(MetricRuns, "completed learning runs"),

@@ -59,10 +59,13 @@ type HypothesisMerged struct {
 	WeightMerged int `json:"weight_merged"`
 }
 
-// HypothesisPruned records one hypothesis removed by the
-// end-of-period post-processing: reason "duplicate" (equal dependency
-// function) or "redundant" (a strictly more specific hypothesis
-// survives).
+// HypothesisPruned records one hypothesis removed by pruning. The
+// end-of-period post-processing reports reason "duplicate" (equal
+// dependency function) or "redundant" (a strictly more specific
+// hypothesis survives). The exact algorithm also prunes after every
+// message, before that message's MessageProcessed, with reason
+// "subsumed": another live hypothesis has a dependency function ⊑ this
+// one's and an assumption set ⊆ this one's.
 type HypothesisPruned struct {
 	Period int    `json:"period"`
 	Reason string `json:"reason"`

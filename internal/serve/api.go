@@ -19,7 +19,6 @@ import (
 // differ across restarts of the same stream.
 type LearnOptions struct {
 	Bound          int   `json:"bound,omitempty"`
-	EagerPrune     bool  `json:"eager_prune,omitempty"`
 	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
 	Workers        int   `json:"workers,omitempty"`
 	VerifyResults  bool  `json:"verify_results,omitempty"`
@@ -35,7 +34,6 @@ type LearnOptions struct {
 func (lo LearnOptions) options() learner.Options {
 	return learner.Options{
 		Bound:         lo.Bound,
-		EagerPrune:    lo.EagerPrune,
 		MaxHypotheses: lo.MaxHypotheses,
 		Workers:       lo.Workers,
 		VerifyResults: lo.VerifyResults,
