@@ -65,7 +65,7 @@ drift:
 ## violation).
 store:
 	$(GO) test -race ./internal/store/
-	$(GO) test -race -run 'Restart|Hydrat|Quarantin|Legacy|Compact|Torn|Store' ./internal/serve/
+	$(GO) test -race -run 'Restart|Hydrat|Quarantin|Compact|Torn|Store' ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime 10s ./internal/store/
 	$(GO) run ./cmd/bbload -restart -streams 1000 -active 10 -slo -json
 
@@ -93,8 +93,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime $(FUZZTIME) ./internal/can/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDIMACS$$' -fuzztime $(FUZZTIME) ./internal/sat/
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedDepFunc$$' -fuzztime $(FUZZTIME) ./internal/depfunc/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTable$$' -fuzztime $(FUZZTIME) ./internal/depfunc/
 	$(GO) test -run '^$$' -fuzz '^FuzzLearn$$' -fuzztime $(FUZZTIME) ./internal/conformance/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzImportEnvelope$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 ## bench: regenerate the Section 3.4 runtime table and record it as

@@ -15,8 +15,7 @@
 //	POST   /v1/streams/{id}/events      append raw trace or candump lines (text body)
 //	GET    /v1/streams/{id}/model       current dependency model (?format=dot for DOT)
 //	GET    /v1/streams/{id}/stats       ingest and learner statistics
-//	POST   /v1/streams/{id}/checkpoint  compact the stream's WAL into a base snapshot now
-//	POST   /v1/streams/{id}/compact     same, with the store view in the response
+//	POST   /v1/streams/{id}/compact     compact the stream's WAL into a base snapshot now
 //	DELETE /v1/streams/{id}             drain and delete a stream
 //	GET    /healthz                      liveness
 //	GET    /metrics                      Prometheus exposition

@@ -94,7 +94,3 @@ func MustLiteTrace() *trace.Trace {
 	}
 	return out.Trace
 }
-
-// CriticalPath is the end-to-end path including task Q examined by the
-// paper's latency discussion.
-func CriticalPath() []string { return []string{"S", "A", "D", "L", "P", "Q"} }

@@ -224,10 +224,6 @@ func (d *DepFunc) ensureOwned() {
 	}
 }
 
-// Shared reports whether d currently shares its buffer with another
-// matrix (diagnostic; the answer can change concurrently).
-func (d *DepFunc) Shared() bool { return atomic.LoadUint64(&d.w[0]) > 1 }
-
 // Equal reports whether two dependency functions over the same task
 // set have identical entries.
 func (d *DepFunc) Equal(other *DepFunc) bool {

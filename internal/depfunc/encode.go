@@ -13,14 +13,15 @@ import (
 // at the cost of a special case — keep std). The task set travels
 // separately in the enclosing snapshot/delta record, so the encoding
 // is only the n²-entry payload: 3 bits per entry, ~16× smaller than
-// the human-readable Table form the v1 schema stored, and decoding is
-// a copy plus validation instead of a parse.
+// the human-readable Table form, and decoding is a copy plus
+// validation instead of a parse.
 //
-// Decode never trusts the bytes: word count must match the task set,
-// every lane must hold a real lattice code (the unused code 100 and
-// any non-zero bits past the last entry are rejected), the diagonal
-// must be ‖, and the fingerprint is recomputed from scratch rather
-// than carried in the payload.
+// Decode never trusts the bytes: the base64 must be canonical (each
+// matrix has exactly one accepted encoding), word count must match the
+// task set, every lane must hold a real lattice code (the unused code
+// 100 and any non-zero bits past the last entry are rejected), the
+// diagonal must be ‖, and the fingerprint is recomputed from scratch
+// rather than carried in the payload.
 
 // EncodePacked returns the wire form of the matrix.
 func (d *DepFunc) EncodePacked() string {
@@ -34,7 +35,7 @@ func (d *DepFunc) EncodePacked() string {
 
 // DecodePacked reconstructs a matrix over ts from EncodePacked output.
 func DecodePacked(ts *TaskSet, s string) (*DepFunc, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
+	raw, err := base64.StdEncoding.Strict().DecodeString(s)
 	if err != nil {
 		return nil, fmt.Errorf("depfunc: packed payload: %w", err)
 	}

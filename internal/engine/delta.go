@@ -11,7 +11,7 @@ import (
 // This file is the engine half of the incremental-checkpoint path: a
 // PeriodDelta captures what one ProcessPeriod call changed, priced in
 // the size of the *change*, not the size of the model. The learner
-// wraps it (learner.Delta) and the store appends it to a per-stream
+// embeds it (learner.Delta) and the store appends it to a per-stream
 // WAL; replaying the deltas onto a restored session reproduces the
 // original state bit-identically (pinned by tests).
 //
@@ -28,8 +28,8 @@ import (
 // Working-set encoding. An entry of the new working set is either a
 // reference to a baseline position (its fingerprint matches an unused
 // baseline fingerprint — the entry survived the period with identical
-// content, at most re-ordered) or a literal dependency table for
-// new/changed entries. The common converged case — the working set
+// content, at most re-ordered) or a packed literal for new/changed
+// entries. The common converged case — the working set
 // survives the period completely unchanged, in order — collapses to
 // Same=true: O(1) bytes however large the model is. Matching trusts
 // the 64-bit Zobrist fingerprint the same way the engine's own
@@ -47,23 +47,16 @@ type PeriodDelta struct {
 	// period flipped to true (the history is monotone).
 	HistSet []int `json:"hist_set,omitempty"`
 	// Same marks a period that left the working set untouched — same
-	// hypotheses, same order. Keep and Tables are empty.
+	// hypotheses, same order. Keep and Packed are empty.
 	Same bool `json:"same,omitempty"`
 	// Keep is the new working set as baseline references: Keep[i] is
 	// the baseline position of entry i, or -1 when the entry is the
-	// next literal from Packed (or, in legacy records, Tables).
+	// next literal from Packed.
 	Keep []int `json:"keep,omitempty"`
 	// Packed holds the new/changed entries as base64 packed-word
 	// encodings (depfunc.EncodePacked), in the order their -1 slots
-	// appear in Keep. This is what capture writes: it restores the
-	// packed matrix bit-identically and is a fraction of a rendered
-	// table's size.
+	// appear in Keep. Decoding restores each matrix bit-identically.
 	Packed []string `json:"packed,omitempty"`
-	// Tables holds the same literals as dependency tables in records
-	// written before the packed encoding existed. Apply accepts either
-	// encoding (Packed wins when both are present); capture no longer
-	// writes this field.
-	Tables []string `json:"tables,omitempty"`
 	// Stats is the full post-period counter snapshot (fixed size) with
 	// PeriodLive elided; Live is this period's PeriodLive entry.
 	Stats Stats `json:"stats"`
@@ -160,26 +153,6 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 		}
 	}
 	if !d.Same {
-		// Literals arrive packed (current records) or as rendered
-		// tables (legacy records); packed wins when both are present.
-		nlit := len(d.Packed)
-		literal := func(lit int) (*depfunc.DepFunc, error) {
-			return depfunc.DecodePacked(e.ts, d.Packed[lit])
-		}
-		if nlit == 0 && len(d.Tables) > 0 {
-			nlit = len(d.Tables)
-			literal = func(lit int) (*depfunc.DepFunc, error) {
-				df, err := depfunc.ParseTable(d.Tables[lit])
-				if err != nil {
-					return nil, err
-				}
-				if !df.TaskSet().Equal(e.ts) {
-					return nil, fmt.Errorf("table is over task set %v, want %v",
-						df.TaskSet().Names(), e.ts.Names())
-				}
-				return df, nil
-			}
-		}
 		cur := make([]*hypothesis.Hypothesis, 0, len(d.Keep))
 		used := make([]bool, len(e.cur))
 		lit := 0
@@ -192,10 +165,10 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 				used[ref] = true
 				cur = append(cur, e.cur[ref])
 			case ref == -1:
-				if lit >= nlit {
-					return fmt.Errorf("engine: delta entry %d wants literal %d, only %d literals", i, lit, nlit)
+				if lit >= len(d.Packed) {
+					return fmt.Errorf("engine: delta entry %d wants literal %d, only %d literals", i, lit, len(d.Packed))
 				}
-				df, err := literal(lit)
+				df, err := depfunc.DecodePacked(e.ts, d.Packed[lit])
 				if err != nil {
 					return fmt.Errorf("engine: delta literal %d: %w", lit, err)
 				}
@@ -209,8 +182,8 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 				return fmt.Errorf("engine: delta entry %d references baseline position %d of %d", i, ref, len(e.cur))
 			}
 		}
-		if lit != nlit {
-			return fmt.Errorf("engine: delta carries %d literals, working set uses %d", nlit, lit)
+		if lit != len(d.Packed) {
+			return fmt.Errorf("engine: delta carries %d literals, working set uses %d", len(d.Packed), lit)
 		}
 		if len(cur) == 0 {
 			return fmt.Errorf("engine: delta empties the working set")

@@ -164,9 +164,6 @@ func Leq(a, b Value) bool { return leqTable[a][b] }
 // Lt reports whether a is strictly more specific than b.
 func Lt(a, b Value) bool { return a != b && leqTable[a][b] }
 
-// Comparable reports whether a and b are related by the partial order.
-func Comparable(a, b Value) bool { return leqTable[a][b] || leqTable[b][a] }
-
 // Join returns the least upper bound a ⊔ b.
 func Join(a, b Value) Value { return joinTable[a][b] }
 
@@ -258,10 +255,6 @@ func AllowsOutgoingMessage(v Value) bool { return leqTable[Fwd][v] }
 // (r, s) is consistent with a message received by r from s, i.e.
 // whether ← ⊑ v.
 func AllowsIncomingMessage(v Value) bool { return leqTable[Bwd][v] }
-
-// IsMaybe reports whether v is one of the conditional values →?, ←?,
-// ↔?.
-func IsMaybe(v Value) bool { return v == FwdMaybe || v == BwdMaybe || v == BiMaybe }
 
 // Valid reports whether v is one of the seven lattice values.
 func Valid(v Value) bool { return v < numValues }

@@ -7,11 +7,9 @@ import (
 )
 
 // DeltaVersion is the per-period incremental checkpoint schema
-// version (the WAL-record payload of internal/store consumers).
-// Version 2 carries working-set literals as packed-word encodings
-// (Packed) instead of rendered tables; ApplyDelta still accepts
-// version-1 records, so WALs written by older binaries replay
-// unchanged.
+// version (the WAL-record payload of internal/store consumers). Version
+// 2 carries working-set literals as packed-word encodings; ApplyDelta
+// rejects every other version.
 const DeltaVersion = 2
 
 // Delta is the serializable change record of exactly one consumed
@@ -26,22 +24,7 @@ const DeltaVersion = 2
 // chains; the session applying it supplies those.
 type Delta struct {
 	Version int `json:"version"`
-	// Period is the engine period count after applying this delta.
-	Period int `json:"period"`
-	// HistSet lists execution-violation history indices flipped to
-	// true by this period.
-	HistSet []int `json:"hist_set,omitempty"`
-	// Same/Keep/Packed encode the post-period working set relative to
-	// the pre-period one; see engine.PeriodDelta. Tables is the
-	// version-1 literal encoding, still accepted on apply.
-	Same   bool     `json:"same,omitempty"`
-	Keep   []int    `json:"keep,omitempty"`
-	Packed []string `json:"packed,omitempty"`
-	Tables []string `json:"tables,omitempty"`
-	// Stats is the post-period counter snapshot with PeriodLive
-	// elided; Live is this period's PeriodLive entry.
-	Stats engine.Stats `json:"stats"`
-	Live  int          `json:"live"`
+	engine.PeriodDelta
 	// Retained is the period appended to the verification ring, set
 	// exactly when the session retains periods (RetainPeriods > 0).
 	Retained *SnapshotPeriod `json:"retained,omitempty"`
@@ -60,17 +43,7 @@ func (o *Online) PeriodDelta() (*Delta, error) {
 	if err != nil {
 		return nil, fmt.Errorf("learner: %w", err)
 	}
-	d := &Delta{
-		Version: DeltaVersion,
-		Period:  pd.Periods,
-		HistSet: pd.HistSet,
-		Same:    pd.Same,
-		Keep:    pd.Keep,
-		Packed:  pd.Packed,
-		Tables:  pd.Tables,
-		Stats:   pd.Stats,
-		Live:    pd.Live,
-	}
+	d := &Delta{Version: DeltaVersion, PeriodDelta: *pd}
 	if o.opt.RetainPeriods > 0 && len(o.retained) > 0 {
 		// The most recently written ring slot holds this period's
 		// retained copy.
@@ -93,27 +66,17 @@ func (o *Online) ApplyDelta(d *Delta) error {
 	if o.err != nil {
 		return fmt.Errorf("learner: apply delta to a dead session: %w", o.err)
 	}
-	if d.Version != DeltaVersion && d.Version != 1 {
-		return fmt.Errorf("learner: delta version %d, this binary applies 1..%d", d.Version, DeltaVersion)
+	if d.Version != DeltaVersion {
+		return fmt.Errorf("learner: delta version %d, this binary applies %d", d.Version, DeltaVersion)
 	}
 	if (d.Retained != nil) != (o.opt.RetainPeriods > 0) {
 		if d.Retained == nil {
 			return fmt.Errorf("learner: delta for period %d carries no retained period, session retains %d",
-				d.Period, o.opt.RetainPeriods)
+				d.Periods, o.opt.RetainPeriods)
 		}
-		return fmt.Errorf("learner: delta for period %d carries a retained period, session retains none", d.Period)
+		return fmt.Errorf("learner: delta for period %d carries a retained period, session retains none", d.Periods)
 	}
-	pd := engine.PeriodDelta{
-		Periods: d.Period,
-		HistSet: d.HistSet,
-		Same:    d.Same,
-		Keep:    d.Keep,
-		Packed:  d.Packed,
-		Tables:  d.Tables,
-		Stats:   d.Stats,
-		Live:    d.Live,
-	}
-	if err := o.eng.ApplyPeriodDelta(&pd); err != nil {
+	if err := o.eng.ApplyPeriodDelta(&d.PeriodDelta); err != nil {
 		return fmt.Errorf("learner: %w", err)
 	}
 	if d.Retained != nil {

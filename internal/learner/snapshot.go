@@ -14,10 +14,8 @@ import (
 // SnapshotVersion is the checkpoint schema version this package
 // writes and reads. Bump it when a field's meaning changes; readers
 // reject versions they do not understand rather than misinterpreting
-// them. Version 2 adds WorkingPacked — the frontier as packed-word
-// encodings restored bit-identically — while still writing the
-// rendered tables for inspectability; version-1 snapshots (tables
-// only) restore unchanged via the ParseTable path.
+// them. Version 2 encodes the frontier as packed words
+// (WorkingPacked), restored bit-identically.
 const SnapshotVersion = 2
 
 // Snapshot is a versioned, JSON-serializable checkpoint of an online
@@ -52,16 +50,10 @@ type Snapshot struct {
 	// History is the cumulative execution-violation vector, row-major
 	// over the task indices, encoded as a '0'/'1' string of length n².
 	History string `json:"history"`
-	// Working holds the live hypothesis frontier as dependency tables
-	// (depfunc.Table / ParseTable round trip), in working-set order.
-	// Version 2 keeps writing it so checkpoints stay human-readable,
-	// but restore prefers WorkingPacked when present.
-	Working []string `json:"working"`
-	// WorkingPacked holds the same frontier as base64 packed-word
-	// encodings (depfunc.EncodePacked), in the same order. Decoding
-	// restores each matrix — words, fingerprint, weight — bit-
-	// identically, which the table round trip only guarantees up to
-	// re-derivation.
+	// WorkingPacked holds the live hypothesis frontier as base64
+	// packed-word encodings (depfunc.EncodePacked), in working-set
+	// order. Decoding restores each matrix — words, fingerprint,
+	// weight — bit-identically.
 	WorkingPacked []string `json:"working_packed,omitempty"`
 	// Stats is the engine instrumentation snapshot.
 	Stats engine.Stats `json:"stats"`
@@ -117,7 +109,6 @@ func (o *Online) Snapshot() (*Snapshot, error) {
 	}
 	s.History = string(hist)
 	for _, d := range st.Working {
-		s.Working = append(s.Working, d.Table())
 		s.WorkingPacked = append(s.WorkingPacked, d.EncodePacked())
 	}
 	// Ring contents oldest-first, deep-copied again on the way out so
@@ -164,8 +155,8 @@ func (sp SnapshotPeriod) period() *trace.Period {
 // VerifyResults, Negatives, OnPeriodVerify — which may differ from
 // the original session's without affecting replay determinism.
 func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
-	if s.Version != SnapshotVersion && s.Version != 1 {
-		return nil, fmt.Errorf("learner: snapshot version %d, this binary reads 1..%d", s.Version, SnapshotVersion)
+	if s.Version != SnapshotVersion {
+		return nil, fmt.Errorf("learner: snapshot version %d, this binary reads %d", s.Version, SnapshotVersion)
 	}
 	ts, err := depfunc.NewTaskSet(s.Tasks)
 	if err != nil {
@@ -196,36 +187,12 @@ func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
 			return nil, fmt.Errorf("learner: snapshot history has invalid byte %q at %d", s.History[i], i)
 		}
 	}
-	if len(s.WorkingPacked) > 0 {
-		// Packed encoding (version 2): bit-identical restore, and the
-		// rendered tables — when also present — must agree with it, so
-		// a hand-edited checkpoint can't silently diverge.
-		if len(s.Working) > 0 && len(s.Working) != len(s.WorkingPacked) {
-			return nil, fmt.Errorf("learner: snapshot has %d working tables but %d packed encodings",
-				len(s.Working), len(s.WorkingPacked))
+	for i, enc := range s.WorkingPacked {
+		d, err := depfunc.DecodePacked(ts, enc)
+		if err != nil {
+			return nil, fmt.Errorf("learner: snapshot working hypothesis %d: %w", i, err)
 		}
-		for i, enc := range s.WorkingPacked {
-			d, err := depfunc.DecodePacked(ts, enc)
-			if err != nil {
-				return nil, fmt.Errorf("learner: snapshot working hypothesis %d: %w", i, err)
-			}
-			if len(s.Working) > 0 && d.Table() != s.Working[i] {
-				return nil, fmt.Errorf("learner: snapshot working hypothesis %d: packed encoding disagrees with table", i)
-			}
-			st.Working = append(st.Working, d)
-		}
-	} else {
-		for i, tbl := range s.Working {
-			d, err := depfunc.ParseTable(tbl)
-			if err != nil {
-				return nil, fmt.Errorf("learner: snapshot working hypothesis %d: %w", i, err)
-			}
-			if !d.TaskSet().Equal(ts) {
-				return nil, fmt.Errorf("learner: snapshot working hypothesis %d is over task set %v, want %v",
-					i, d.TaskSet().Names(), s.Tasks)
-			}
-			st.Working = append(st.Working, d)
-		}
+		st.Working = append(st.Working, d)
 	}
 	eng, err := engine.Restore(ts, opt.engineConfig(), st)
 	if err != nil {

@@ -2,6 +2,7 @@ package learner
 
 import (
 	"bytes"
+	"encoding/base64"
 	"errors"
 	"math/rand"
 	"testing"
@@ -226,15 +227,46 @@ func TestSnapshotRejections(t *testing.T) {
 		t.Fatal("restore accepted a truncated history")
 	}
 	bad = *snap
-	bad.Working = nil
+	bad.Version = 1
+	if _, err := RestoreOnline(&bad, Options{}); err == nil {
+		t.Fatal("restore accepted a version-1 snapshot")
+	}
+	bad = *snap
 	bad.WorkingPacked = nil
 	if _, err := RestoreOnline(&bad, Options{}); err == nil {
 		t.Fatal("restore accepted an empty working set")
 	}
 	bad = *snap
-	bad.WorkingPacked = bad.WorkingPacked[:len(bad.WorkingPacked)-1]
+	bad.WorkingPacked = append([]string(nil), snap.WorkingPacked...)
+	raw, err := base64.StdEncoding.DecodeString(bad.WorkingPacked[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.WorkingPacked[0] = base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{0xff}, len(raw)))
 	if _, err := RestoreOnline(&bad, Options{}); err == nil {
-		t.Fatal("restore accepted mismatched table/packed counts")
+		t.Fatal("restore accepted a corrupt working_packed entry")
+	}
+
+	// A delta of another version is refused; the same delta at the
+	// current version applies.
+	if err := o.AddPeriod(tr.Periods[1]); err != nil {
+		t.Fatal(err)
+	}
+	d, err := o.PeriodDelta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreOnline(snap, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := *d
+	v1.Version = 1
+	if err := restored.ApplyDelta(&v1); err == nil {
+		t.Fatal("apply accepted a version-1 delta")
+	}
+	if err := restored.ApplyDelta(d); err != nil {
+		t.Fatalf("apply of the current-version delta: %v", err)
 	}
 
 	// A dead session refuses to checkpoint.
@@ -248,5 +280,58 @@ func TestSnapshotRejections(t *testing.T) {
 	}
 	if _, err := dead.Snapshot(); err == nil {
 		t.Fatal("snapshot of a dead session succeeded")
+	}
+}
+
+// TestSnapshotPackedBitIdentical: a version-2 checkpoint restores the
+// working frontier bit-identically — not just behaviourally — through
+// a full JSON round trip: every matrix re-encodes to the same packed
+// words and carries the same incremental fingerprint as the original
+// in-memory object.
+func TestSnapshotPackedBitIdentical(t *testing.T) {
+	tr := simFigure1Trace(t, 8, 5)
+	o, err := NewOnline(tr.Tasks, Options{Bound: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tr.Periods {
+		if err := o.AddPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := o.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != SnapshotVersion {
+		t.Fatalf("snapshot version %d, want %d", snap.Version, SnapshotVersion)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreOnline(decoded, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := o.eng.State()
+	rest := restored.eng.State()
+	if len(orig.Working) != len(rest.Working) {
+		t.Fatalf("restored %d working hypotheses, want %d", len(rest.Working), len(orig.Working))
+	}
+	for i := range orig.Working {
+		if orig.Working[i].Fingerprint() != rest.Working[i].Fingerprint() {
+			t.Errorf("working %d: fingerprint %x, want %x", i, rest.Working[i].Fingerprint(), orig.Working[i].Fingerprint())
+		}
+		if !orig.Working[i].Equal(rest.Working[i]) {
+			t.Errorf("working %d: matrices differ after restore", i)
+		}
+		if got, want := rest.Working[i].EncodePacked(), orig.Working[i].EncodePacked(); got != want {
+			t.Errorf("working %d: packed re-encoding differs:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }

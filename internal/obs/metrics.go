@@ -112,15 +112,6 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string, now time.Time) {
 	h.Observe(v)
 }
 
-// BucketExemplar returns the latest exemplar of bucket i (bounds
-// index; len(Bounds()) is the +Inf bucket), or nil.
-func (h *Histogram) BucketExemplar(i int) *Exemplar {
-	if i < 0 || i >= len(h.ex) {
-		return nil
-	}
-	return h.ex[i].Load()
-}
-
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

@@ -32,10 +32,6 @@ type Job struct {
 // Release time of the job.
 func (j *Job) Release() int64 { return j.release }
 
-// Started returns the first dispatch time and whether the job has been
-// dispatched.
-func (j *Job) Started() (int64, bool) { return j.started, j.started >= 0 }
-
 // Exec records one completed job: the task, its first dispatch and
 // completion times, and its release time (for response-time checks).
 type Exec struct {

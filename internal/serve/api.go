@@ -211,14 +211,6 @@ type DriftResponse struct {
 	State *drift.State `json:"state,omitempty"`
 }
 
-// CheckpointResponse is the body of POST /v1/streams/{id}/checkpoint.
-type CheckpointResponse struct {
-	ID   string `json:"id"`
-	Path string `json:"path"`
-	// Periods is the number of learned periods the checkpoint covers.
-	Periods int `json:"periods"`
-}
-
 // CompactResponse is the body of POST /v1/streams/{id}/compact: the
 // stream's durable state after folding its WAL into a fresh base
 // snapshot.

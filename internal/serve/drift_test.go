@@ -238,9 +238,9 @@ func TestDriftCheckpointRestart(t *testing.T) {
 	// hardest state to round-trip.
 	feedBoth(flipFeed(flipAt, 2), flipAt+2)
 
-	resp, _ := c2.do("POST", "/v1/streams/rt/checkpoint", nil)
+	resp, _ := c2.do("POST", "/v1/streams/rt/compact", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint: %d", resp.StatusCode)
+		t.Fatalf("compact: %d", resp.StatusCode)
 	}
 	_, before := c2.drift("rt")
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -59,7 +58,7 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, ErrNoStream)
 	}
 
-	var cf checkpointFile
+	var body []byte
 	var learned int
 	var snapErr error
 	err := s.do(func(o *learner.Online) {
@@ -67,16 +66,7 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 			snapErr = s.deadErr()
 			return
 		}
-		snap, err := o.Snapshot()
-		if err != nil {
-			snapErr = err
-			return
-		}
-		cf = checkpointFile{ServeVersion: serveVersion, Info: s.info, Snapshot: snap}
-		if s.mon != nil {
-			dst := s.mon.State()
-			cf.Drift = &dst
-		}
+		body, snapErr = s.checkpoint()
 		learned = s.learned
 	})
 	if err == nil && snapErr != nil {
@@ -91,17 +81,6 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 		}
 		sv.mu.Unlock()
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, err)
-	}
-
-	body, merr := json.Marshal(&cf)
-	if merr != nil {
-		sv.mu.Lock()
-		sv.streams[id] = s
-		if sv.mStreams != nil {
-			sv.mStreams.Set(int64(len(sv.streams)))
-		}
-		sv.mu.Unlock()
-		return nil, 0, fmt.Errorf("serve: export %q: %w", id, merr)
 	}
 
 	// The envelope is safe; stop the owner and drop every local trace
@@ -124,16 +103,9 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 // learned-period count from the exporter. It fails with
 // errStreamExists if this server already owns the stream ID.
 func (sv *Server) ImportStream(envelope []byte, learned int) (StreamInfo, error) {
-	var cf checkpointFile
-	if err := json.Unmarshal(envelope, &cf); err != nil {
-		return StreamInfo{}, fmt.Errorf("serve: import: undecodable envelope: %w", err)
-	}
-	if cf.ServeVersion != serveVersion {
-		return StreamInfo{}, fmt.Errorf("serve: import: envelope version %d, this binary reads %d",
-			cf.ServeVersion, serveVersion)
-	}
-	if cf.Snapshot == nil {
-		return StreamInfo{}, errors.New("serve: import: envelope carries no learner snapshot")
+	cf, err := decodeCheckpoint(envelope)
+	if err != nil {
+		return StreamInfo{}, fmt.Errorf("serve: import: %w", err)
 	}
 	if err := validateID(cf.Info.ID); err != nil {
 		return StreamInfo{}, fmt.Errorf("serve: import: %w", err)

@@ -311,4 +311,8 @@ func TestImportRejectsBadEnvelopes(t *testing.T) {
 	if _, err := sv.ImportStream([]byte(`{"serve_version":1,"info":{"id":"x"}}`), 0); err == nil {
 		t.Fatal("envelope without a snapshot accepted")
 	}
+	if _, err := sv.ImportStream([]byte(`{"serve_version":1,"info":{"id":"x","tasks":["a","b"]},"snapshot":{"version":2,`+
+		`"tasks":["b","a"],"history":"0000","working_packed":["AAAAAAAAAAA="]}}`), 0); err == nil {
+		t.Fatal("envelope whose snapshot and stream task sets differ accepted")
+	}
 }

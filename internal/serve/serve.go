@@ -42,7 +42,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -77,7 +76,7 @@ type Config struct {
 	// selects the store default (0.2); negative disables.
 	CompactJitter float64
 	// Logf, when non-nil, receives store recovery and restore logs
-	// (torn WAL tails, quarantined state, legacy migrations).
+	// (torn WAL tails, quarantined state).
 	Logf func(format string, args ...any)
 	// QueueDepth bounds each stream's ingest queue (default 256).
 	QueueDepth int
@@ -194,7 +193,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/streams/{id}/model", sv.handleModel)
 	mux.HandleFunc("GET /v1/streams/{id}/stats", sv.handleStats)
 	mux.HandleFunc("GET /v1/streams/{id}/drift", sv.handleDrift)
-	mux.HandleFunc("POST /v1/streams/{id}/checkpoint", sv.handleCheckpoint)
 	mux.HandleFunc("POST /v1/streams/{id}/compact", sv.handleCompact)
 	mux.HandleFunc("DELETE /v1/streams/{id}", sv.handleDelete)
 	mux.HandleFunc("GET /debug/streams", sv.handleDebugStreams)
@@ -255,10 +253,8 @@ func (sv *Server) StreamCount() int {
 // in lazily on its first ingest or query, bit-identical to what the
 // previous process had made durable.
 //
-// Pre-store one-file-per-stream checkpoints (<dir>/<id>.json) are
-// migrated into the store first: the file bytes become the stream's
-// base snapshot verbatim. Corrupt state — store streams failing
-// validation, or legacy files that cannot be decoded — is moved to
+// Only stream directories are read; other entries of the root are
+// left alone. A stream failing validation is moved to
 // <dir>/quarantine/ and counted in serve_restore_quarantined_total
 // (typed as store.CorruptError in the logs), never silently dropped
 // and never fatal to the remaining streams.
@@ -269,15 +265,11 @@ func (sv *Server) RestoreFromDir() (int, error) {
 	if sv.storeErr != nil {
 		return 0, sv.storeErr
 	}
-	nq, err := sv.migrateLegacy()
-	if err != nil {
-		return 0, err
-	}
 	res, err := sv.store.Scan()
 	if err != nil {
 		return 0, err
 	}
-	nq += len(res.Quarantined)
+	nq := len(res.Quarantined)
 	n := 0
 	for _, sm := range res.Streams {
 		if err := sv.registerCold(sm); err != nil {
@@ -298,72 +290,6 @@ func (sv *Server) RestoreFromDir() (int, error) {
 		sv.mQuarantined.Add(int64(nq))
 	}
 	return n, nil
-}
-
-// migrateLegacy moves pre-store checkpoint files into the store, one
-// stream each: the file bytes are the base snapshot of a new epoch-1
-// stream, so a migrated stream restores bit-identically through the
-// same hydration path as native store state. Undecodable or
-// mismatched files are quarantined and counted, not fatal.
-func (sv *Server) migrateLegacy() (quarantined int, err error) {
-	paths, err := filepath.Glob(filepath.Join(sv.cfg.CheckpointDir, "*.json"))
-	if err != nil {
-		return 0, err
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if fi, err := os.Stat(path); err != nil || fi.IsDir() {
-			continue // a stream directory whose ID ends in .json
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return quarantined, err
-		}
-		var cf checkpointFile
-		reason := ""
-		switch {
-		case json.Unmarshal(b, &cf) != nil:
-			reason = "undecodable checkpoint"
-		case cf.ServeVersion != serveVersion:
-			reason = fmt.Sprintf("checkpoint envelope version %d, this binary reads %d", cf.ServeVersion, serveVersion)
-		case cf.Snapshot == nil:
-			reason = "checkpoint carries no learner snapshot"
-		case cf.Info.ID != strings.TrimSuffix(filepath.Base(path), ".json"):
-			reason = fmt.Sprintf("checkpoint names stream %q but file is %s", cf.Info.ID, filepath.Base(path))
-		}
-		if reason == "" {
-			learned := cf.Snapshot.Stats.Periods
-			if cf.Drift != nil && cf.Drift.Periods > learned {
-				// The snapshot covers only the current model generation;
-				// the monitor counts periods across generations.
-				learned = cf.Drift.Periods
-			}
-			meta, merr := json.Marshal(cf.Info)
-			if merr != nil {
-				return quarantined, merr
-			}
-			h, cerr := sv.store.Create(cf.Info.ID, meta, b, uint64(learned))
-			if cerr == nil {
-				h.Close()
-				if rerr := os.Remove(path); rerr != nil {
-					return quarantined, rerr
-				}
-				continue
-			}
-			if !errors.Is(cerr, store.ErrExists) {
-				return quarantined, cerr
-			}
-			// The store already holds newer state for this stream; the
-			// stale legacy file is preserved aside, not merged.
-			reason = "stream already has store state"
-		}
-		sv.logf("serve: restore %s: %s; quarantining", path, reason)
-		if qerr := sv.store.Quarantine(path); qerr != nil {
-			return quarantined, qerr
-		}
-		quarantined++
-	}
-	return quarantined, nil
 }
 
 // registerCold registers a scanned stream without hydrating it: no
@@ -559,8 +485,7 @@ func (sv *Server) addStream(info StreamInfo, snap *learner.Snapshot, learned int
 		// learner and replay WAL deltas against the wrong baseline.
 		var base []byte
 		if snap != nil {
-			cf := checkpointFile{ServeVersion: serveVersion, Info: info, Snapshot: snap, Drift: dst}
-			if base, err = json.Marshal(&cf); err != nil {
+			if base, err = encodeCheckpoint(info, snap, dst); err != nil {
 				sv.dropStreamMetrics(s)
 				return nil, err
 			}
@@ -789,21 +714,22 @@ func (sv *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// compactNow runs an on-demand compaction on the stream's owner
-// goroutine (hydrating a cold stream first) and returns the new
-// base's path, the periods it covers, and the post-compaction WAL
-// record count.
-func (sv *Server) compactNow(w http.ResponseWriter, r *http.Request) (CompactResponse, bool) {
-	var out CompactResponse
+// handleCompact is POST /v1/streams/{id}/compact: fold the stream's
+// WAL into a fresh base right now, regardless of thresholds. It runs on
+// the stream's owner goroutine (hydrating a cold stream first) and
+// answers with the new base's path, the periods it covers and the
+// post-compaction WAL record count.
+func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	s, ok := sv.stream(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no stream %q", r.PathValue("id")))
-		return out, false
+		return
 	}
 	if sv.store == nil {
 		writeError(w, http.StatusConflict, errors.New("serve: server has no checkpoint directory"))
-		return out, false
+		return
 	}
+	var out CompactResponse
 	var cpErr error
 	err := s.do(func(o *learner.Online) {
 		if o == nil || s.st == nil {
@@ -823,33 +749,14 @@ func (sv *Server) compactNow(w http.ResponseWriter, r *http.Request) (CompactRes
 			WALRecords: s.st.Stats().WALRecords,
 		}
 	})
-	if errors.Is(err, ErrStreamClosed) {
+	switch {
+	case errors.Is(err, ErrStreamClosed):
 		writeError(w, http.StatusGone, err)
-		return out, false
-	}
-	if cpErr != nil {
+	case cpErr != nil:
 		writeError(w, http.StatusConflict, cpErr)
-		return out, false
+	default:
+		writeJSON(w, http.StatusOK, out)
 	}
-	return out, true
-}
-
-func (sv *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	out, ok := sv.compactNow(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{ID: out.ID, Path: out.Path, Periods: out.Periods})
-}
-
-// handleCompact is POST /v1/streams/{id}/compact: fold the stream's
-// WAL into a fresh base right now, regardless of thresholds.
-func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	out, ok := sv.compactNow(w, r)
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // handleDebugStreams serves the one-page operational view: every

@@ -172,9 +172,9 @@ func TestLifecycleFigure2(t *testing.T) {
 		t.Fatalf("stats after feed: %+v", st)
 	}
 
-	resp, out := c.do("POST", "/v1/streams/fig2/checkpoint", nil)
+	resp, out := c.do("POST", "/v1/streams/fig2/compact", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint: %d %s", resp.StatusCode, out)
+		t.Fatalf("compact: %d %s", resp.StatusCode, out)
 	}
 
 	// A second server process over the same checkpoint directory
@@ -548,9 +548,9 @@ func TestCorpusCheckpointRestart(t *testing.T) {
 			} else {
 				replayFrom = half
 			}
-			resp, out := c.do("POST", "/v1/streams/"+e.Name+"/checkpoint", nil)
+			resp, out := c.do("POST", "/v1/streams/"+e.Name+"/compact", nil)
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("checkpoint: %d %s", resp.StatusCode, out)
+				t.Fatalf("compact: %d %s", resp.StatusCode, out)
 			}
 			ts.Close()
 

@@ -138,9 +138,10 @@ func TestLazyHydrationOnlyTouchedStreams(t *testing.T) {
 	}
 }
 
-// TestRestoreQuarantinesCorruptState: a corrupt store stream and an
-// undecodable legacy checkpoint file are moved to <dir>/quarantine/
-// and counted, while every healthy stream restores and serves.
+// TestRestoreQuarantinesCorruptState: a corrupt store stream is moved
+// to <dir>/quarantine/ and counted, a stray file at the store root is
+// left where it is and not counted, and every healthy stream restores
+// and serves.
 func TestRestoreQuarantinesCorruptState(t *testing.T) {
 	dir := t.TempDir()
 	sv := New(Config{CheckpointDir: dir})
@@ -156,8 +157,8 @@ func TestRestoreQuarantinesCorruptState(t *testing.T) {
 	shutdownServer(t, sv)
 	ts.Close()
 
-	// Corrupt one stream's manifest and drop an undecodable legacy
-	// checkpoint next to the store directories.
+	// Corrupt one stream's manifest and drop a stray file next to the
+	// store directories.
 	if err := os.WriteFile(filepath.Join(dir, "bad", "manifest.json"), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +175,14 @@ func TestRestoreQuarantinesCorruptState(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("restored %d streams, want 1", n)
 	}
-	if m := reg.Snapshot()["serve_restore_quarantined_total"]; m.Value != 2 {
-		t.Errorf("serve_restore_quarantined_total = %d, want 2", m.Value)
+	if m := reg.Snapshot()["serve_restore_quarantined_total"]; m.Value != 1 {
+		t.Errorf("serve_restore_quarantined_total = %d, want 1", m.Value)
 	}
-	for _, name := range []string{"bad", "junk.json"} {
-		if _, err := os.Stat(filepath.Join(dir, "quarantine", name)); err != nil {
-			t.Errorf("quarantined %s missing: %v", name, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", "bad")); err != nil {
+		t.Errorf("quarantined stream missing: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "junk.json")); err != nil {
+		t.Errorf("stray root file moved or removed: %v", err)
 	}
 	ts2 := httptest.NewServer(sv2.Handler())
 	defer ts2.Close()
@@ -188,70 +190,6 @@ func TestRestoreQuarantinesCorruptState(t *testing.T) {
 	assertModelEquals(t, c2.model("good"), tables, lub)
 	if resp, _ := c2.do("GET", "/v1/streams/bad/model", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("quarantined stream answers %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestLegacyCheckpointMigration: a pre-store one-file-per-stream
-// checkpoint is folded into the store on restore and hydrates
-// bit-identically through the WAL path.
-func TestLegacyCheckpointMigration(t *testing.T) {
-	tr := trace.PaperFigure2()
-	o, err := learner.NewOnline(tr.Tasks, learner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range tr.Periods {
-		if err := o.AddPeriod(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := o.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, lub := batchTables(t, tr, learner.Options{})
-
-	dir := t.TempDir()
-	cf := checkpointFile{ServeVersion: serveVersion,
-		Info: StreamInfo{ID: "legacy", Tasks: tr.Tasks}, Snapshot: snap}
-	b, err := json.Marshal(&cf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy.json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sv := New(Config{CheckpointDir: dir})
-	if n, err := sv.RestoreFromDir(); err != nil || n != 1 {
-		t.Fatalf("restore: n=%d err=%v", n, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.json")); !os.IsNotExist(err) {
-		t.Errorf("legacy file still at the root after migration (err=%v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy", "manifest.json")); err != nil {
-		t.Errorf("migrated stream has no manifest: %v", err)
-	}
-	ts := httptest.NewServer(sv.Handler())
-	defer ts.Close()
-	c := newClient(t, ts)
-	assertModelEquals(t, c.model("legacy"), tables, lub)
-
-	// The migrated stream keeps learning and persisting via the WAL:
-	// a second restart without checkpoints still restores everything.
-	c.feed("legacy", "exec t1 100000 100100\nmsg m1 100150 100200\nexec t2 100400 100500\nperiod\n")
-	waitLearned(t, c, "legacy", len(tr.Periods)+1)
-	shutdownServer(t, sv)
-	ts.Close()
-
-	sv2 := New(Config{CheckpointDir: dir})
-	if n, err := sv2.RestoreFromDir(); err != nil || n != 1 {
-		t.Fatalf("second restore: n=%d err=%v", n, err)
-	}
-	ts2 := httptest.NewServer(sv2.Handler())
-	defer ts2.Close()
-	if st := newClient(t, ts2).stats("legacy"); st.PeriodsLearned != len(tr.Periods)+1 {
-		t.Fatalf("periods after migration+wal restart = %d, want %d", st.PeriodsLearned, len(tr.Periods)+1)
 	}
 }
 

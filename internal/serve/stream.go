@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -416,26 +417,63 @@ func (s *stream) publishDriftView() {
 	}
 }
 
-// checkpointFile is the base-snapshot envelope around a learner
+// checkpointFile is the one envelope around a persisted learner
 // snapshot: the serve-level identity and runtime knobs needed to
-// reopen the stream. It is also the schema of the pre-store
-// one-file-per-stream checkpoints, which migrate into the store
-// verbatim. Ingest parser residue (an open period, candump sequence
-// numbers) is deliberately not persisted — bases and WAL records are
-// cut at period boundaries, and a client that was mid-period replays
-// that period after a restart.
+// reopen the stream. It is the schema of every base snapshot in the
+// store and of every ExportStream handoff; encodeCheckpoint and
+// decodeCheckpoint are its only encoder and decoder. Ingest parser
+// residue (an open period, candump sequence numbers) is deliberately
+// not persisted — bases and WAL records are cut at period boundaries,
+// and a client that was mid-period replays that period after a
+// restart.
 type checkpointFile struct {
 	ServeVersion int               `json:"serve_version"`
 	Info         StreamInfo        `json:"info"`
 	Snapshot     *learner.Snapshot `json:"snapshot"`
 	// Drift is the drift-monitor state of a drift-enabled stream.
-	// Optional, so version-1 checkpoints from before drift monitoring
-	// still restore.
 	Drift *drift.State `json:"drift,omitempty"`
 }
 
 // serveVersion is the checkpoint envelope schema version.
 const serveVersion = 1
+
+func encodeCheckpoint(info StreamInfo, snap *learner.Snapshot, dst *drift.State) ([]byte, error) {
+	return json.Marshal(&checkpointFile{ServeVersion: serveVersion, Info: info, Snapshot: snap, Drift: dst})
+}
+
+// decodeCheckpoint parses an envelope and checks its version and that
+// it carries a learner snapshot over the stream's task set;
+// RestoreOnline validates the snapshot itself.
+func decodeCheckpoint(b []byte) (*checkpointFile, error) {
+	var cf checkpointFile
+	if err := json.Unmarshal(b, &cf); err != nil {
+		return nil, fmt.Errorf("undecodable envelope: %w", err)
+	}
+	switch {
+	case cf.ServeVersion != serveVersion:
+		return nil, fmt.Errorf("envelope version %d, this binary reads %d", cf.ServeVersion, serveVersion)
+	case cf.Snapshot == nil:
+		return nil, errors.New("envelope carries no learner snapshot")
+	case !slices.Equal(cf.Snapshot.Tasks, cf.Info.Tasks):
+		return nil, fmt.Errorf("envelope snapshot is over tasks %v, stream over %v", cf.Snapshot.Tasks, cf.Info.Tasks)
+	}
+	return &cf, nil
+}
+
+// checkpoint captures the owner's learner and drift monitor as an
+// envelope at the current period boundary. Owner goroutine only.
+func (s *stream) checkpoint() ([]byte, error) {
+	snap, err := s.o.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	var dst *drift.State
+	if s.mon != nil {
+		st := s.mon.State()
+		dst = &st
+	}
+	return encodeCheckpoint(s.info, snap, dst)
+}
 
 // walEntry is the JSON payload of one serve-layer WAL record: the
 // period's learner delta, absent exactly when the period forked a
@@ -502,14 +540,10 @@ func (s *stream) hydrate() error {
 	var snap *learner.Snapshot
 	var dst *drift.State
 	if base != nil {
-		var cf checkpointFile
-		if err := json.Unmarshal(base, &cf); err != nil {
+		cf, err := decodeCheckpoint(base)
+		if err != nil {
 			st.Close()
 			return fmt.Errorf("base snapshot: %w", err)
-		}
-		if cf.ServeVersion != serveVersion {
-			st.Close()
-			return fmt.Errorf("base envelope version %d, this binary reads %d", cf.ServeVersion, serveVersion)
 		}
 		snap = cf.Snapshot
 		dst = cf.Drift
@@ -657,16 +691,7 @@ func (s *stream) compactPersist() {
 // compact folds the stream's WAL into a fresh base snapshot under the
 // next epoch (see store.Stream.Compact). Owner goroutine only.
 func (s *stream) compact() error {
-	snap, err := s.o.Snapshot()
-	if err != nil {
-		return err
-	}
-	cf := &checkpointFile{ServeVersion: serveVersion, Info: s.info, Snapshot: snap}
-	if s.mon != nil {
-		dst := s.mon.State()
-		cf.Drift = &dst
-	}
-	base, err := json.Marshal(cf)
+	base, err := s.checkpoint()
 	if err != nil {
 		return err
 	}

@@ -331,7 +331,7 @@ const quarantineDir = "quarantine"
 
 // Quarantine moves a file or directory under <root>/quarantine/,
 // appending a numeric suffix if the name is taken. It is used for
-// corrupt store streams and for undecodable legacy checkpoint files.
+// corrupt store streams.
 func (st *Store) Quarantine(path string) error {
 	qdir := filepath.Join(st.dir, quarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {

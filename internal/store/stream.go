@@ -237,23 +237,6 @@ func (s *Stream) Compact(base []byte, basePeriods uint64, meta []byte, now time.
 	return nil
 }
 
-// SetMeta rewrites the manifest with new serving-layer metadata,
-// keeping the current epoch and base.
-func (s *Stream) SetMeta(meta []byte) error {
-	m := manifest{
-		Version:           manifestVersion,
-		Epoch:             s.epoch,
-		BasePeriods:       s.basePeriods,
-		Meta:              meta,
-		CompactedAtUnixNS: s.compactedAt,
-	}
-	if err := s.st.commitManifest(s.dir, m); err != nil {
-		return err
-	}
-	s.meta = meta
-	return nil
-}
-
 // Close releases the WAL handle. Appended records are already
 // durable; Close is not a flush point.
 func (s *Stream) Close() error {
