@@ -50,11 +50,7 @@ func NewOnline(tasks []string, opt Options) (*Online, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Online{eng: engine.New(ts, opt.engineConfig()), opt: opt}
-	if opt.RetainPeriods > 0 {
-		o.retained = make([]*trace.Period, 0, opt.RetainPeriods)
-	}
-	return o, nil
+	return &Online{eng: engine.New(ts, opt.engineConfig()), opt: opt}, nil
 }
 
 // TaskSet returns the session's task set.

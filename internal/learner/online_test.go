@@ -247,6 +247,43 @@ func TestOnlineRingWraparound(t *testing.T) {
 	}
 }
 
+// TestOnlineHugeRetainWindow: the retention ring grows as periods
+// arrive, so a window far larger than memory costs nothing up front,
+// in a new session or a restored one.
+func TestOnlineHugeRetainWindow(t *testing.T) {
+	tr := trace.PaperFigure2()
+	opt := Options{RetainPeriods: 1 << 40, VerifyResults: true}
+	o, err := NewOnline(tr.Tasks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tr.Periods {
+		if err := o.AddPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := o.Result(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := o.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := RestoreOnline(snap, Options{VerifyResults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.RetainedPeriods(); got != len(tr.Periods) {
+		t.Fatalf("restored ring holds %d periods, want %d", got, len(tr.Periods))
+	}
+	if err := back.AddPeriod(tr.Periods[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.RetainedPeriods(); got != len(tr.Periods)+1 {
+		t.Fatalf("ring holds %d periods after one more, want %d", got, len(tr.Periods)+1)
+	}
+}
+
 // TestOnlineVerifyUnavailableSentinel: the sentinel is distinguishable
 // with errors.Is and is a Result-time condition, not a session
 // failure — the session stays alive, keeps accepting periods, and

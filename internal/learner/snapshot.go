@@ -200,7 +200,6 @@ func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
 	}
 	o := &Online{eng: eng, opt: opt}
 	if opt.RetainPeriods > 0 {
-		o.retained = make([]*trace.Period, 0, opt.RetainPeriods)
 		if len(s.Retained) > opt.RetainPeriods {
 			return nil, fmt.Errorf("learner: snapshot retains %d periods, ring holds %d",
 				len(s.Retained), opt.RetainPeriods)

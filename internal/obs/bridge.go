@@ -98,17 +98,6 @@ var RunSecondsBuckets = []float64{0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32, 0.6
 // applies (the old fixed 100µs floor saturated at both ends).
 var PhaseSecondsBuckets = DefLatencyBuckets
 
-// MetricsObserverOptions configures the histogram bucket layouts of
-// the metrics bridge. Zero values select the package defaults.
-type MetricsObserverOptions struct {
-	// PhaseBuckets are the bounds of the modelgen_phase_*_seconds
-	// histograms (default PhaseSecondsBuckets).
-	PhaseBuckets []float64
-	// RunBuckets are the bounds of modelgen_learner_run_seconds
-	// (default RunSecondsBuckets).
-	RunBuckets []float64
-}
-
 // metricsObserver bridges events into a Registry.
 type metricsObserver struct {
 	reg *Registry
@@ -118,8 +107,6 @@ type metricsObserver struct {
 	live, peak, workers                                           *Gauge
 	candidates, livePerPeriod, runSeconds                         *Histogram
 
-	phaseBuckets []float64
-
 	mu       sync.Mutex
 	pipeline map[string]*Counter   // stage/name -> counter, created on demand
 	phases   map[string]*Histogram // phase -> seconds histogram, created on demand
@@ -127,23 +114,11 @@ type metricsObserver struct {
 
 // NewMetricsObserver returns an Observer that maintains the
 // modelgen_* metrics in reg with the default bucket layouts.
+// Instruments are created eagerly so a scrape before the first event
+// already shows the full catalogue.
 func NewMetricsObserver(reg *Registry) Observer {
-	return NewMetricsObserverWith(reg, MetricsObserverOptions{})
-}
-
-// NewMetricsObserverWith is NewMetricsObserver with configurable
-// histogram buckets. Instruments are created eagerly so a scrape
-// before the first event already shows the full catalogue.
-func NewMetricsObserverWith(reg *Registry, opts MetricsObserverOptions) Observer {
-	if opts.PhaseBuckets == nil {
-		opts.PhaseBuckets = PhaseSecondsBuckets
-	}
-	if opts.RunBuckets == nil {
-		opts.RunBuckets = RunSecondsBuckets
-	}
 	return &metricsObserver{
 		reg:           reg,
-		phaseBuckets:  opts.PhaseBuckets,
 		periods:       reg.Counter(MetricPeriods, "periods processed by the learner"),
 		messages:      reg.Counter(MetricMessages, "message occurrences processed"),
 		spawned:       reg.Counter(MetricSpawned, "hypotheses created by generalization"),
@@ -157,7 +132,7 @@ func NewMetricsObserverWith(reg *Registry, opts MetricsObserverOptions) Observer
 		workers:       reg.Gauge(MetricWorkers, "engine worker-pool size of the current session (1 = sequential)"),
 		candidates:    reg.Histogram(MetricCandidates, "timing-feasible candidate pairs per message", CandidateBuckets),
 		livePerPeriod: reg.Histogram(MetricLivePerPeriod, "live hypotheses at each period end", LiveBuckets),
-		runSeconds:    reg.Histogram(MetricRunSeconds, "learning-run wall time in seconds", opts.RunBuckets),
+		runSeconds:    reg.Histogram(MetricRunSeconds, "learning-run wall time in seconds", RunSecondsBuckets),
 		pipeline:      map[string]*Counter{},
 		phases:        map[string]*Histogram{},
 	}
@@ -213,7 +188,7 @@ func (m *metricsObserver) OnSpan(e SpanEnd) {
 		h = m.reg.HistogramWith(HistogramOpts{
 			Name:    PhaseMetric(e.Phase),
 			Help:    fmt.Sprintf("wall time of the %q pipeline phase in seconds", e.Phase),
-			Buckets: m.phaseBuckets,
+			Buckets: PhaseSecondsBuckets,
 		})
 		m.phases[e.Phase] = h
 	}

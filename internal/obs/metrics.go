@@ -264,21 +264,6 @@ func (r *Registry) HistogramWith(opts HistogramOpts, kv ...string) *Histogram {
 	return r.LabeledHistogram(opts.Name, opts.Help, buckets, kv...)
 }
 
-// ExponentialBuckets returns n bucket bounds starting at start and
-// multiplying by factor: the standard layout for latency histograms
-// whose observations span several orders of magnitude.
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic(fmt.Sprintf("obs: ExponentialBuckets(%g, %g, %d): want start > 0, factor > 1, n >= 1", start, factor, n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // DefLatencyBuckets spans 1µs to ~10s at roughly half-decade
 // resolution — wide enough for both a sub-millisecond period learn
 // and a multi-second backlog drain without saturating either end.

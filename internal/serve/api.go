@@ -31,6 +31,19 @@ type LearnOptions struct {
 	MaxReceivers   int   `json:"max_receivers,omitempty"`
 }
 
+// maxWorkers bounds LearnOptions.Workers. The engine allocates an
+// arena per worker and starts that many goroutines per generalize
+// stage, so a create request or an imported envelope asking for more
+// is refused before any engine exists.
+const maxWorkers = 64
+
+func (lo LearnOptions) check() error {
+	if lo.Workers > maxWorkers {
+		return fmt.Errorf("serve: workers %d over the limit of %d", lo.Workers, maxWorkers)
+	}
+	return nil
+}
+
 func (lo LearnOptions) options() learner.Options {
 	return learner.Options{
 		Bound:         lo.Bound,

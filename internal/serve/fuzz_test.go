@@ -33,11 +33,6 @@ func FuzzImportEnvelope(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The learner preallocates per worker and per retained period;
-		// keep the fuzzer's memory bounded.
-		if in.Info.Options.Workers > 8 || in.Snapshot.RetainPeriods > 64 {
-			return
-		}
 		sv := New(Config{})
 		defer sv.Shutdown(context.Background())
 		info, err := sv.ImportStream(envelope, 0)

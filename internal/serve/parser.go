@@ -9,11 +9,12 @@ import (
 )
 
 // parser is the per-stream ingest front end: it turns raw feed lines
-// into complete periods. Text-format directives go straight into a
+// into complete periods. Text-format directives are decoded by a
 // trace.LineReader; lines starting with '(' are candump frames,
 // converted by a can.StreamConverter into the rise/fall pair of the
-// frame and fed into the same reader, so one stream may mix task
-// events from an instrumented node with bus frames from a logger.
+// frame. Either way the events go into the same reader, so one stream
+// may mix task events from an instrumented node with bus frames from
+// a logger.
 //
 // With a positive periodUS the parser also cuts periods on a fixed
 // grid anchored at the first timed event — the serving equivalent of
@@ -28,8 +29,7 @@ type parser struct {
 	conv *can.StreamConverter // nil unless the stream set a bit rate
 
 	periodUS int64
-	base     int64 // grid anchor: time of the first event seen
-	haveBase bool
+	haveBase bool  // whether the grid is anchored at the first timed event
 	boundary int64 // next grid cut, valid when haveBase
 }
 
@@ -59,61 +59,37 @@ func (p *parser) clone() *parser {
 func (p *parser) partial() bool { return p.lr.Partial() }
 
 // feed consumes one raw feed line and returns the periods it
-// completed (usually zero or one; a candump frame crossing several
-// empty grid slots still cuts at most one, since empty periods are
-// skipped).
+// completed (usually zero or one; a line crossing several empty grid
+// slots still cuts at most one, since empty periods are skipped).
 func (p *parser) feed(line string) ([]*trace.Period, error) {
 	trimmed := strings.TrimSpace(line)
+	var events []trace.Event
+	var err error
 	if strings.HasPrefix(trimmed, "(") {
-		return p.feedFrame(trimmed)
+		if p.conv == nil {
+			return nil, fmt.Errorf("serve: candump line on a stream created without bit_rate")
+		}
+		events, err = p.conv.Line(trimmed)
+	} else {
+		events, err = p.lr.Decode(trimmed)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var out []*trace.Period
-	if p.periodUS > 0 {
-		if t, ok := eventTime(trimmed); ok {
-			cut, err := p.gridCut(t)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cut...)
+	if p.periodUS > 0 && len(events) > 0 && events[0].Kind != trace.PeriodMark {
+		// Cut on the line's first event only: an exec's end or a
+		// frame's synthetic fall stays in the same period.
+		period, err := p.gridCut(events[0].Time)
+		if err != nil {
+			return nil, err
+		}
+		if period != nil {
+			out = append(out, period)
 		}
 	}
-	period, err := p.lr.Line(line)
-	if err != nil {
-		return nil, err
-	}
-	if period != nil {
-		out = append(out, period)
-	}
-	return out, nil
-}
-
-func (p *parser) feedFrame(line string) ([]*trace.Period, error) {
-	if p.conv == nil {
-		return nil, fmt.Errorf("serve: candump line on a stream created without bit_rate")
-	}
-	events, err := p.conv.Line(line)
-	if err != nil {
-		return nil, err
-	}
-	var out []*trace.Period
 	for _, ev := range events {
-		if p.periodUS > 0 && ev.Kind == trace.MsgRise {
-			// Cut on the rise only: the synthetic fall belongs to the
-			// same frame and must stay in the same period.
-			cut, err := p.gridCut(ev.Time)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cut...)
-		}
-		var directive string
-		switch ev.Kind {
-		case trace.MsgRise:
-			directive = fmt.Sprintf("rise %s %d", ev.Name, ev.Time)
-		case trace.MsgFall:
-			directive = fmt.Sprintf("fall %s %d", ev.Name, ev.Time)
-		}
-		period, err := p.lr.Line(directive)
+		period, err := p.lr.Event(ev)
 		if err != nil {
 			return nil, err
 		}
@@ -126,47 +102,17 @@ func (p *parser) feedFrame(line string) ([]*trace.Period, error) {
 
 // gridCut closes the open period when t has reached the next grid
 // boundary, and advances the boundary past t.
-func (p *parser) gridCut(t int64) ([]*trace.Period, error) {
+func (p *parser) gridCut(t int64) (*trace.Period, error) {
 	if !p.haveBase {
-		p.base, p.haveBase = t, true
+		p.haveBase = true
 		p.boundary = t + p.periodUS
 		return nil, nil
 	}
 	if t < p.boundary {
 		return nil, nil
 	}
-	var out []*trace.Period
-	period, err := p.lr.Line("period")
-	if err != nil {
-		return nil, err
-	}
-	if period != nil {
-		out = append(out, period)
-	}
-	for p.boundary <= t {
-		p.boundary += p.periodUS
-	}
-	return out, nil
-}
-
-// eventTime extracts the timestamp of a timed text directive, so the
-// grid cutter can run on mixed-format streams. Untimed or malformed
-// lines report false and are left to the LineReader to accept or
-// reject.
-func eventTime(trimmed string) (int64, bool) {
-	fields := strings.Fields(trimmed)
-	switch {
-	case len(fields) == 3 && (fields[0] == "start" || fields[0] == "end" ||
-		fields[0] == "rise" || fields[0] == "fall"):
-		var t int64
-		if _, err := fmt.Sscanf(fields[2], "%d", &t); err == nil {
-			return t, true
-		}
-	case len(fields) == 4 && (fields[0] == "exec" || fields[0] == "msg"):
-		var t int64
-		if _, err := fmt.Sscanf(fields[2], "%d", &t); err == nil {
-			return t, true
-		}
-	}
-	return 0, false
+	// Skip every grid slot up to t at once: a timestamp far ahead must
+	// not cost one step per empty slot.
+	p.boundary += int64((uint64(t-p.boundary)/uint64(p.periodUS) + 1) * uint64(p.periodUS))
+	return p.lr.Flush()
 }

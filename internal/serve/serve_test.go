@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -408,6 +409,51 @@ func TestCandumpMixedStream(t *testing.T) {
 	assertModelEquals(t, c.model("canmix"), tables, lub)
 }
 
+// TestRawEventsOnGrid: raw start/end/rise/fall lines cut on a
+// period_us grid like exec lines do. A pair straddling a grid boundary
+// is a 400 wrapping ErrCrossingPeriod that leaves the stream as it
+// was, so the same stream then learns the batch model of the clean
+// feed; and a timestamp far past the grid cuts at once.
+func TestRawEventsOnGrid(t *testing.T) {
+	sv := New(Config{})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	c := newClient(t, ts)
+	c.createStream(CreateStreamRequest{ID: "rawgrid", Tasks: []string{"t1", "t2"}, PeriodUS: 1000})
+
+	// t2 starts in the first grid slot and ends in the second.
+	resp, out := c.do("POST", "/v1/streams/rawgrid/events",
+		[]byte("start t1 0\nend t1 100\nstart t2 900\nend t2 1100\n"))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(out), trace.ErrCrossingPeriod.Error()) {
+		t.Fatalf("straddling pair: %d %s, want 400 with %q", resp.StatusCode, out, trace.ErrCrossingPeriod)
+	}
+	if st := c.stats("rawgrid"); st.PeriodsCut != 0 || st.Partial {
+		t.Fatalf("rejected batch left state: cut %d, partial %v", st.PeriodsCut, st.Partial)
+	}
+
+	var feed strings.Builder
+	b := trace.NewBuilder([]string{"t1", "t2"})
+	for k := int64(0); k < 3; k++ {
+		base := 5000 + k*1000
+		fmt.Fprintf(&feed, "start t1 %d\nend t1 %d\nrise m1 %d\nfall m1 %d\nstart t2 %d\nend t2 %d\n",
+			base, base+100, base+150, base+200, base+400, base+500)
+		b.StartPeriod()
+		b.Exec("t1", base, base+100)
+		b.Msg("m1", base+150, base+200)
+		b.Exec("t2", base+400, base+500)
+	}
+	feed.WriteString("period\n")
+	if ir := c.feed("rawgrid", feed.String()); ir.Periods != 3 {
+		t.Fatalf("grid cut %d periods, want 3", ir.Periods)
+	}
+	tables, lub := batchTables(t, b.MustBuild(), learner.Options{})
+	assertModelEquals(t, c.model("rawgrid"), tables, lub)
+
+	if ir := c.feed("rawgrid", "exec t1 1000000000000000000 1000000000000000001\nperiod\n"); ir.Periods != 1 {
+		t.Fatalf("far timestamp cut %d periods, want 1", ir.Periods)
+	}
+}
+
 // TestDeadStreamReports409: a period the learner cannot explain kills
 // the stream's learner; the API reports the sticky error on stats and
 // answers 409 on model reads and further feeds, while other streams
@@ -501,6 +547,59 @@ func TestAPIRejections(t *testing.T) {
 	c.feed("verify", "exec t1 0 5\nmsg m1 6 7\nexec t2 9 12\nperiod\n")
 	if resp, _ := c.do("GET", "/v1/streams/verify/model", nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("verify-without-retention model read: %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestLearnOptionLimits: learner options come from network peers, so
+// none may size an allocation or a goroutine pool unchecked. A create
+// request or an imported envelope over the workers limit is refused
+// before an engine exists; a huge retain_periods allocates its ring on
+// demand and round-trips through export and import.
+func TestLearnOptionLimits(t *testing.T) {
+	sv := New(Config{})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	c := newClient(t, ts)
+
+	body, _ := json.Marshal(CreateStreamRequest{ID: "many", Tasks: []string{"t1"},
+		Options: LearnOptions{Workers: 1 << 40}})
+	if resp, out := c.do("POST", "/v1/streams", body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("create with huge workers: %d %s, want 400", resp.StatusCode, out)
+	}
+	if n := sv.StreamCount(); n != 0 {
+		t.Fatalf("refused create left %d streams", n)
+	}
+
+	c.createStream(CreateStreamRequest{ID: "ring", Tasks: []string{"t1", "t2"},
+		Options: LearnOptions{RetainPeriods: 1 << 40, VerifyResults: true}})
+	c.feed("ring", "exec t1 0 5\nmsg m1 6 7\nexec t2 9 12\nperiod\n")
+	before := c.model("ring")
+	env, learned, err := sv.ExportStream("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sv.ImportStream(env, learned); err != nil {
+		t.Fatalf("import with huge retain_periods: %v", err)
+	}
+	if after := c.model("ring"); !reflect.DeepEqual(after.Hypotheses, before.Hypotheses) {
+		t.Fatalf("imported model %v, want %v", after.Hypotheses, before.Hypotheses)
+	}
+
+	env, _, err = sv.ExportStream("ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf checkpointFile
+	if err := json.Unmarshal(env, &cf); err != nil {
+		t.Fatal(err)
+	}
+	cf.Info.Options.Workers = 1 << 40
+	env, _ = json.Marshal(&cf)
+	if _, err := sv.ImportStream(env, learned); err == nil {
+		t.Fatal("import with huge workers accepted")
+	}
+	if sv.StreamExists("ring") {
+		t.Fatal("refused import registered the stream")
 	}
 }
 

@@ -173,9 +173,10 @@ func (s *stream) ingest(lines []string, parent obs.SpanContext) (resp IngestResp
 	cutSpan := s.tracer.StartSpan("period_cut", parent)
 	cp := s.parser.clone()
 	var periods []*trace.Period
-	for _, line := range lines {
+	for i, line := range lines {
 		ps, err := cp.feed(line)
 		if err != nil {
+			err = fmt.Errorf("serve: batch line %d: %w", i+1, err)
 			cutSpan.SetAttr("error", err.Error())
 			cutSpan.End()
 			return resp, false, err

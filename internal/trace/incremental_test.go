@@ -205,7 +205,9 @@ func TestLineReaderCloneIndependence(t *testing.T) {
 }
 
 // TestLineReaderErrors: malformed feeds fail with the same sentinel
-// errors the batch reader uses.
+// errors the batch reader uses (TestReadTypedErrors runs these inputs
+// through both readers), construction rejects a bad task set, and a
+// fed line's error carries its position once.
 func TestLineReaderErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -248,10 +250,19 @@ func TestLineReaderErrors(t *testing.T) {
 		t.Error("NewLineReader accepted duplicate tasks")
 	}
 	lr, _ := NewLineReader([]string{"t1"})
-	if _, err := lr.Line("tasks t1 t2"); err == nil {
-		t.Error("mismatched tasks echo accepted")
+	if _, err := lr.Line("tasks t1 t2"); !errors.Is(err, ErrBadTasks) {
+		t.Errorf("mismatched tasks echo: %v", err)
 	}
-	if _, err := lr.Line("frobnicate t1 0"); err == nil {
-		t.Error("unknown directive accepted")
+	if _, err := lr.Line("frobnicate t1 0"); !errors.Is(err, ErrUnknownEvent) {
+		t.Errorf("unknown directive: %v", err)
+	}
+	lr, _ = NewLineReader([]string{"t1"})
+	lr.Line("start t1 0")
+	_, err := lr.Line("period")
+	if want := "line 2: " + ErrCrossingPeriod.Error() + ":"; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("cut error = %v, want prefix %q", err, want)
+	}
+	if _, err := lr.Event(Event{Kind: PeriodMark + 1}); !errors.Is(err, ErrUnknownEvent) {
+		t.Errorf("unknown event kind: %v", err)
 	}
 }

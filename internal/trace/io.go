@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"github.com/blackbox-rt/modelgen/internal/obs"
@@ -20,12 +19,14 @@ import (
 //	period
 //	...
 //
-// "tasks" declares the predefined task set and must appear before the
-// first period. "period" opens a new period. "exec NAME START END"
-// records a task execution, "msg ID RISE FALL" a message occurrence.
-// For raw logs the event-level forms "start NAME T", "end NAME T",
-// "rise ID T" and "fall ID T" are also accepted and matched up exactly
-// like FromEvents. Blank lines and '#' comments are ignored.
+// The first directive is the "tasks" header: the predefined task set,
+// without duplicates. A later "tasks" line must repeat it exactly and
+// is then a no-op. "period" cuts the open period. "exec NAME START
+// END" stands for a start and an end event, "msg ID RISE FALL" for a
+// rise and a fall; the raw forms "start NAME T", "end NAME T", "rise
+// ID T" and "fall ID T" stand for one event each. Events pair up in
+// line order (see LineReader), and each period is validated when it is
+// cut. Blank lines and '#' comments are ignored.
 
 // Write serializes the trace in the compact text format.
 func Write(w io.Writer, tr *Trace) error {
@@ -69,14 +70,22 @@ func (tr *Trace) String() string {
 func Read(r io.Reader) (*Trace, error) { return ReadObserved(r, nil) }
 
 // ReadObserved parses like Read and reports parsing observability to
-// o (stage "trace"): events_read and periods_segmented on success,
-// malformed_lines (with the error as label) on a parse failure. A nil
-// observer makes it identical to Read.
+// o (stage "trace"): events_read (the events consumed) and, on
+// success, periods_segmented, or malformed_lines (with the error as
+// label) on a parse failure. A nil observer makes it identical to
+// Read.
+//
+// The first directive must be the "tasks" header; every later line
+// goes to a LineReader over that task set, which is then flushed.
 func ReadObserved(r io.Reader, o obs.Observer) (tr *Trace, err error) {
 	sp := obs.StartSpan(o, obs.PhaseTraceParse)
 	defer sp.End()
+	var lr *LineReader
 	if o != nil {
 		defer func() {
+			if lr != nil {
+				o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "events_read", Value: lr.events})
+			}
 			if err != nil {
 				o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "malformed_lines", Value: 1, Label: err.Error()})
 				return
@@ -87,184 +96,46 @@ func ReadObserved(r io.Reader, o obs.Observer) (tr *Trace, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
-	var tasks []string
-	var events []Event
-	sawTasks := false
-	lineNo := 0
-
-	parseInt := func(s string) (int64, error) {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %q", ErrBadTimestamp, s)
+	var buf [2]Event
+	for lineNo := 1; lr == nil && sc.Scan(); lineNo++ {
+		n, tasks, err := decodeLine(sc.Text(), &buf)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		case tasks != nil:
+			if lr, err = NewLineReader(tasks); err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+			lr.line = lineNo
+		case n > 0:
+			return nil, fmt.Errorf("line %d: %w: %q comes first", lineNo, ErrBadTasks, strings.Fields(sc.Text())[0])
 		}
-		return v, nil
 	}
-
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	if lr == nil {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "tasks":
-			if sawTasks {
-				return nil, fmt.Errorf("trace: line %d: duplicate tasks declaration", lineNo)
-			}
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("trace: line %d: empty task set", lineNo)
-			}
-			tasks = fields[1:]
-			sawTasks = true
-		case "period":
-			if !sawTasks {
-				return nil, fmt.Errorf("trace: line %d: period before tasks declaration", lineNo)
-			}
-			t := int64(0)
-			if len(events) > 0 {
-				t = events[len(events)-1].Time
-			}
-			events = append(events, Event{Time: t, Kind: PeriodMark})
-		case "exec":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: %w: exec wants NAME START END", lineNo, ErrTruncatedEvent)
-			}
-			start, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			end, err := parseInt(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			events = append(events,
-				Event{Time: start, Kind: TaskStart, Name: fields[1]},
-				Event{Time: end, Kind: TaskEnd, Name: fields[1]})
-		case "msg":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("line %d: %w: msg wants ID RISE FALL", lineNo, ErrTruncatedEvent)
-			}
-			rise, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			fall, err := parseInt(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			events = append(events,
-				Event{Time: rise, Kind: MsgRise, Name: fields[1]},
-				Event{Time: fall, Kind: MsgFall, Name: fields[1]})
-		case "start", "end", "rise", "fall":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("line %d: %w: %s wants NAME TIME", lineNo, ErrTruncatedEvent, fields[0])
-			}
-			t, err := parseInt(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			var k Kind
-			switch fields[0] {
-			case "start":
-				k = TaskStart
-			case "end":
-				k = TaskEnd
-			case "rise":
-				k = MsgRise
-			case "fall":
-				k = MsgFall
-			}
-			events = append(events, Event{Time: t, Kind: k, Name: fields[1]})
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown directive %q", lineNo, fields[0])
+		return nil, fmt.Errorf("%w: missing", ErrBadTasks)
+	}
+	tr = New(lr.tasks)
+	for sc.Scan() {
+		p, err := lr.Line(sc.Text())
+		if err != nil {
+			return nil, err
+		}
+		if p != nil {
+			tr.Periods = append(tr.Periods, p)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	if !sawTasks {
-		return nil, fmt.Errorf("trace: missing tasks declaration")
-	}
-	if o != nil {
-		o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "events_read", Value: int64(len(events))})
-	}
-	return fromOrderedEvents(tasks, events)
-}
-
-// fromOrderedEvents is FromEvents without the time sort: the text
-// format's line order is authoritative, so that periods whose
-// timestamps restart (e.g. per-period clocks) still parse.
-func fromOrderedEvents(tasks []string, events []Event) (*Trace, error) {
-	tr := New(tasks)
-	cur := &Period{Index: 0, Execs: map[string]Interval{}}
-	started := false
-	openStart := map[string]int64{}
-	openRise := map[string]int64{}
-
-	flush := func() error {
-		if len(openStart) > 0 || len(openRise) > 0 {
-			return fmt.Errorf("%w: period %d has %d open task(s) and %d open message(s)",
-				ErrCrossingPeriod, cur.Index, len(openStart), len(openRise))
-		}
-		if started {
-			tr.Periods = append(tr.Periods, cur)
-		}
-		cur = &Period{Index: cur.Index + 1, Execs: map[string]Interval{}}
-		started = false
-		return nil
-	}
-	for _, ev := range events {
-		switch ev.Kind {
-		case PeriodMark:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
-		case TaskStart:
-			if !tr.HasTask(ev.Name) {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownTask, ev.Name)
-			}
-			if _, dup := cur.Execs[ev.Name]; dup {
-				return nil, fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, ev.Name, cur.Index)
-			}
-			if _, open := openStart[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openStart[ev.Name] = ev.Time
-		case TaskEnd:
-			st, ok := openStart[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openStart, ev.Name)
-			cur.Execs[ev.Name] = Interval{Start: st, End: ev.Time}
-		case MsgRise:
-			if _, open := openRise[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openRise[ev.Name] = ev.Time
-		case MsgFall:
-			rise, ok := openRise[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openRise, ev.Name)
-			cur.Msgs = append(cur.Msgs, Message{ID: ev.Name, Rise: rise, Fall: ev.Time})
-		}
-		started = true
-	}
-	if err := flush(); err != nil {
+	p, err := lr.Flush()
+	if err != nil {
 		return nil, err
 	}
-	for i, p := range tr.Periods {
-		p.Index = i
-	}
-	sortMessages(tr)
-	// Per-period clock restarts are allowed in the text format, so
-	// validate everything except global period ordering.
-	if err := tr.validatePeriods(); err != nil {
-		return nil, err
+	if p != nil {
+		tr.Periods = append(tr.Periods, p)
 	}
 	return tr, nil
 }

@@ -56,9 +56,9 @@ func (tr *Trace) UnmarshalJSON(data []byte) error {
 			p.Execs[e.Task] = Interval{Start: e.Start, End: e.End}
 		}
 		p.Msgs = append(p.Msgs, jp.Msgs...)
+		sortMessages(p.Msgs)
 		decoded.Periods = append(decoded.Periods, p)
 	}
-	sortMessages(decoded)
 	if err := decoded.Validate(); err != nil {
 		return err
 	}

@@ -14,12 +14,27 @@
 //
 // Times are int64 ticks; the package is agnostic about the unit
 // (simulators in this repository use microseconds).
+//
+// One assembler, LineReader, turns events into periods for every
+// front end: the text reader Read, the event-slice assembler FromEvents
+// (and through it the simulator) and the served parser in
+// internal/serve. They therefore accept one grammar. The task set comes
+// first (the text format's "tasks" header, or the constructor's
+// argument); a later "tasks" line must repeat it and is a no-op. Each
+// directive stands for at most two events, which pair up start/end and
+// rise/fall in feed order. A period mark cuts the open period: it fails
+// with ErrCrossingPeriod while a pair is open, and the period must then
+// pass Validate's per-period checks. Validation errors wrap the
+// sentinels below.
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Kind enumerates the event kinds observable on the bus log.
@@ -83,7 +98,8 @@ type Message struct {
 
 // Period is one instance of the system's execution period: the tasks
 // that executed (with their execution intervals) and the message
-// occurrences on the bus, in rising-edge order.
+// occurrences on the bus, in rising-edge order (ties by falling edge,
+// then ID).
 type Period struct {
 	Index int
 	Execs map[string]Interval
@@ -225,12 +241,15 @@ var (
 	ErrCrossingPeriod  = errors.New("trace: event pair crosses a period boundary")
 	ErrDuplicateMsgID  = errors.New("trace: duplicate message occurrence label in a period")
 	ErrUnsortedPeriods = errors.New("trace: periods overlap or are out of order")
+	ErrBadTasks        = errors.New("trace: missing, mismatched or malformed tasks declaration")
+	ErrUnknownEvent    = errors.New("trace: unknown directive or event kind")
 )
 
 // Validate checks the structural invariants of the model of
 // computation: known task names, at most one execution per task per
 // period, well-formed intervals and rise-ordered messages with unique
-// labels per period.
+// labels per period, and non-empty periods in time order without
+// overlap.
 func (tr *Trace) Validate() error {
 	prevEnd := int64(-1 << 62)
 	for _, p := range tr.Periods {
@@ -243,13 +262,6 @@ func (tr *Trace) Validate() error {
 			prevEnd = span.End
 		}
 	}
-	return tr.validatePeriods()
-}
-
-// validatePeriods runs the per-period checks of Validate without the
-// global period-ordering check, so front ends that allow per-period
-// clock restarts (the text format) can still enforce everything else.
-func (tr *Trace) validatePeriods() error {
 	known := make(map[string]bool, len(tr.Tasks))
 	for _, t := range tr.Tasks {
 		known[t] = true
@@ -263,9 +275,8 @@ func (tr *Trace) validatePeriods() error {
 }
 
 // validateOnePeriod runs the per-period structural checks of Validate
-// on one period, against the known task-name set. It is shared with
-// the incremental LineReader, which validates each period as it is
-// cut.
+// on one period, against the known task-name set. LineReader runs it
+// on each period as it is cut.
 func validateOnePeriod(p *Period, known map[string]bool) error {
 	for t, iv := range p.Execs {
 		if !known[t] {
@@ -297,84 +308,26 @@ func validateOnePeriod(p *Period, known map[string]bool) error {
 
 // FromEvents assembles a trace from a raw event stream over the given
 // task set. Events are sorted by time (stably, so the original order
-// breaks ties). Periods are delimited by PeriodMark events: each mark
-// begins a new period. Events before the first mark form period 0
-// unless the stream begins with a mark.
+// breaks ties) and fed to a LineReader, so each PeriodMark cuts a
+// period; events before the first mark form the first period. The sort
+// leaves every period ending no later than the next one starts, so the
+// result passes Validate.
 func FromEvents(tasks []string, events []Event) (*Trace, error) {
 	evs := append([]Event(nil), events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
-
+	lr, err := NewLineReader(tasks)
+	if err != nil {
+		return nil, err
+	}
 	tr := New(tasks)
-	cur := &Period{Index: 0, Execs: map[string]Interval{}}
-	started := false // any non-mark event seen in cur
-	openStart := map[string]int64{}
-	openRise := map[string]int64{}
-
-	flush := func() error {
-		if len(openStart) > 0 || len(openRise) > 0 {
-			return fmt.Errorf("%w: period %d has %d open task(s) and %d open message(s)",
-				ErrCrossingPeriod, cur.Index, len(openStart), len(openRise))
+	for _, ev := range append(evs, Event{Kind: PeriodMark}) { // the last mark flushes
+		p, err := lr.Event(ev)
+		if err != nil {
+			return nil, err
 		}
-		if started {
-			tr.Periods = append(tr.Periods, cur)
+		if p != nil {
+			tr.Periods = append(tr.Periods, p)
 		}
-		cur = &Period{Index: cur.Index + 1, Execs: map[string]Interval{}}
-		started = false
-		return nil
-	}
-
-	for _, ev := range evs {
-		switch ev.Kind {
-		case PeriodMark:
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			continue
-		case TaskStart:
-			if !tr.HasTask(ev.Name) {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownTask, ev.Name)
-			}
-			if _, dup := cur.Execs[ev.Name]; dup {
-				return nil, fmt.Errorf("%w: %q in period %d", ErrDuplicateExec, ev.Name, cur.Index)
-			}
-			if _, open := openStart[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double start of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openStart[ev.Name] = ev.Time
-		case TaskEnd:
-			st, ok := openStart[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: end of %q without start", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openStart, ev.Name)
-			cur.Execs[ev.Name] = Interval{Start: st, End: ev.Time}
-		case MsgRise:
-			if _, open := openRise[ev.Name]; open {
-				return nil, fmt.Errorf("%w: double rise of %q", ErrUnmatchedEvent, ev.Name)
-			}
-			openRise[ev.Name] = ev.Time
-		case MsgFall:
-			rise, ok := openRise[ev.Name]
-			if !ok {
-				return nil, fmt.Errorf("%w: fall of %q without rise", ErrUnmatchedEvent, ev.Name)
-			}
-			delete(openRise, ev.Name)
-			cur.Msgs = append(cur.Msgs, Message{ID: ev.Name, Rise: rise, Fall: ev.Time})
-		default:
-			return nil, fmt.Errorf("trace: invalid event kind %d", ev.Kind)
-		}
-		started = true
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	// Reindex periods densely from zero.
-	for i, p := range tr.Periods {
-		p.Index = i
-	}
-	sortMessages(tr)
-	if err := tr.Validate(); err != nil {
-		return nil, err
 	}
 	return tr, nil
 }
@@ -406,12 +359,16 @@ func FromEventsPeriodic(tasks []string, events []Event, origin, periodLen int64)
 
 // Events flattens the trace back into a time-sorted event stream with
 // PeriodMark events at each period boundary (including before the
-// first period).
+// first period). Events at the same time keep period order, and within
+// a period the mark comes first and starts/rises precede ends/falls,
+// so FromEvents reassembles a valid trace exactly, even when a period
+// begins at the instant the previous one ends or holds a zero-length
+// execution or message.
 func (tr *Trace) Events() []Event {
 	var out []Event
 	for _, p := range tr.Periods {
-		span := p.Span()
-		out = append(out, Event{Time: span.Start, Kind: PeriodMark})
+		lo := len(out)
+		out = append(out, Event{Time: p.Span().Start, Kind: PeriodMark})
 		for t, iv := range p.Execs {
 			out = append(out, Event{Time: iv.Start, Kind: TaskStart, Name: t})
 			out = append(out, Event{Time: iv.End, Kind: TaskEnd, Name: t})
@@ -420,33 +377,38 @@ func (tr *Trace) Events() []Event {
 			out = append(out, Event{Time: m.Rise, Kind: MsgRise, Name: m.ID})
 			out = append(out, Event{Time: m.Fall, Kind: MsgFall, Name: m.ID})
 		}
+		pe := out[lo:]
+		sort.SliceStable(pe, func(i, j int) bool {
+			if pe[i].Time != pe[j].Time {
+				return pe[i].Time < pe[j].Time
+			}
+			return eventRank(pe[i]) < eventRank(pe[j])
+		})
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return eventRank(out[i]) < eventRank(out[j])
-	})
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
 
-// eventRank breaks timestamp ties so that period marks come first,
-// then ends/falls (completions), then starts/rises.
+// eventRank orders the events of one period at the same time: the
+// period mark, then starts/rises, then ends/falls.
 func eventRank(ev Event) int {
 	switch ev.Kind {
 	case PeriodMark:
 		return 0
-	case TaskEnd, MsgFall:
+	case TaskStart, MsgRise:
 		return 1
 	default:
 		return 2
 	}
 }
 
-func sortMessages(tr *Trace) {
-	for _, p := range tr.Periods {
-		sort.SliceStable(p.Msgs, func(i, j int) bool { return p.Msgs[i].Rise < p.Msgs[j].Rise })
-	}
+// sortMessages puts a period's messages in rise order, breaking ties
+// by fall and then ID, so the order depends only on the period's
+// content and not on the order its events arrived in.
+func sortMessages(msgs []Message) {
+	slices.SortFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.Rise, b.Rise), cmp.Compare(a.Fall, b.Fall), strings.Compare(a.ID, b.ID))
+	})
 }
 
 // Builder incrementally constructs a trace period by period. It is the
@@ -471,7 +433,7 @@ func (b *Builder) StartPeriod() *Builder {
 
 func (b *Builder) closePeriod() {
 	if b.cur != nil {
-		sort.SliceStable(b.cur.Msgs, func(i, j int) bool { return b.cur.Msgs[i].Rise < b.cur.Msgs[j].Rise })
+		sortMessages(b.cur.Msgs)
 		b.tr.Periods = append(b.tr.Periods, b.cur)
 		b.cur = nil
 	}
