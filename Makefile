@@ -100,8 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime $(FUZZTIME) ./internal/cluster/
 
 ## bench: regenerate the Section 3.4 runtime table and record it as
-## benchmark telemetry (BENCH_local.json at the repo root), including
-## the sequential-vs-parallel speedup columns at 4 workers. Bound 50
+## benchmark telemetry (BENCH_local.json at the repo root). Bound 50
 ## rides along beyond the paper's column list because it is the CI
 ## regression gate's comparison point (bench-regression in ci.yml).
 ## The exact algorithm on the 7-task lite configuration is recorded
@@ -111,10 +110,10 @@ fuzz:
 ## bench-regression step gates it. Gate a change against the committed
 ## baselines with:
 ##   go run ./cmd/bbbench -compare BENCH_local.json -threshold 10%
-##   go run ./cmd/bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -compare BENCH_exact_lite.json -threshold 10%
+##   go run ./cmd/bbbench -config lite -exact -bounds 16 -repeat 5 -compare BENCH_exact_lite.json -threshold 10%
 bench:
-	$(GO) run ./cmd/bbbench -workers 4 -bounds 1,4,16,32,50,64,100,120,150 -json BENCH_local.json
-	$(GO) run ./cmd/bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -label exact_lite -json BENCH_exact_lite.json
+	$(GO) run ./cmd/bbbench -bounds 1,4,16,32,50,64,100,120,150 -json BENCH_local.json
+	$(GO) run ./cmd/bbbench -config lite -exact -bounds 16 -repeat 5 -label exact_lite -json BENCH_exact_lite.json
 
 ## microbench: the go-test microbenchmarks, including the
 ## zero-allocation observer guard (compare nil vs nop allocs/op) and

@@ -10,7 +10,7 @@
 //
 //	bbbench                                 # heuristic sweep on the full case study
 //	bbbench -config lite -exact             # sweep + exact run on the lite subsystem
-//	bbbench -config lite -exact -bounds 16 -workers 1 -repeat 5 -compare BENCH_exact_lite.json
+//	bbbench -config lite -exact -bounds 16 -repeat 5 -compare BENCH_exact_lite.json
 //	bbbench -repeat 5                       # median of five runs per bound
 //	bbbench -json BENCH_local.json          # write the telemetry file
 //	bbbench -compare BENCH_base.json        # exit 1 on >10% regression vs the baseline
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -39,7 +38,6 @@ func main() {
 		boundsF = flag.String("bounds", "1,4,16,32,64,100,120,150", "comma-separated heuristic bounds (the paper's table)")
 		exact   = flag.Bool("exact", false, "also run the exact algorithm (feasible only with -config lite)")
 		repeat  = flag.Int("repeat", 3, "measurement repetitions per bound (median and p95 reported)")
-		workers = flag.Int("workers", runtime.NumCPU(), "engine worker-pool size; values > 1 add a parallel run per bound, with its speedup vs sequential when the host has that many CPUs")
 		periods = flag.Int("periods", modelgen.CaseStudyPeriods, "simulated periods")
 		seed    = flag.Int64("seed", modelgen.CaseStudySeed, "simulation seed")
 
@@ -121,8 +119,7 @@ func main() {
 	fmt.Printf("%8s %14s %14s %12s %10s %10s %8s\n",
 		"Bound", "Median", "P95", "Hypotheses", "Converged", "PeakLive", "Merges")
 	var exactLUB *modelgen.DepFunc
-	measure := func(name string, bound, w int, opt modelgen.LearnOptions) *modelgen.LearnResult {
-		opt.Workers = w
+	measure := func(name string, bound int, opt modelgen.LearnOptions) *modelgen.LearnResult {
 		var res *modelgen.LearnResult
 		samples := modelgen.BenchMeasure(*repeat, func() {
 			r, err := modelgen.Learn(out.Trace, opt)
@@ -132,7 +129,6 @@ func main() {
 			res = r
 		})
 		run := modelgen.BenchSummarize(name, bound, samples)
-		run.Workers = w
 		run.Hypotheses = len(res.Hypotheses)
 		run.Converged = res.Converged
 		run.PeakLive = res.Stats.Peak
@@ -154,27 +150,11 @@ func main() {
 		return res
 	}
 	if *exact {
-		res := measure("exact", 0, 1, modelgen.LearnOptions{Policy: pol, MaxHypotheses: 10_000_000, Observer: obsv})
+		res := measure("exact", 0, modelgen.LearnOptions{Policy: pol, MaxHypotheses: 10_000_000, Observer: obsv})
 		exactLUB = res.LUB
 	}
 	for _, b := range bounds {
-		seq := measure(fmt.Sprintf("bound_%d", b), b, 1, modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
-		if *workers > 1 {
-			seqMedian := file.Runs[len(file.Runs)-1].MedianNS
-			par := measure(fmt.Sprintf("bound_%d_w%d", b, *workers), b, *workers,
-				modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
-			run := &file.Runs[len(file.Runs)-1]
-			if file.Host.CanMeasureSpeedup(*workers) {
-				run.SpeedupVsSequential = float64(seqMedian) / float64(run.MedianNS)
-				fmt.Printf("%8s parallel speedup at workers=%d: %.2fx\n", "", *workers, run.SpeedupVsSequential)
-			} else {
-				fmt.Printf("%8s parallel speedup at workers=%d: not measured (%d CPUs < %d workers)\n",
-					"", *workers, file.Host.CPUs, *workers)
-			}
-			if !par.LUB.Equal(seq.LUB) {
-				fatalf("bound %d: parallel LUB diverges from sequential (determinism violation)", b)
-			}
-		}
+		measure(fmt.Sprintf("bound_%d", b), b, modelgen.LearnOptions{Bound: b, Policy: pol, Observer: obsv})
 	}
 	if exactLUB != nil {
 		fmt.Println("\n(the paper reports 630.997 s for exact vs 0.220–19.048 s for the")

@@ -45,7 +45,6 @@ func main() {
 	var (
 		traceFile    = flag.String("trace", "", "trace file in the text format (default stdin)")
 		bound        = flag.Int("bound", 32, "heuristic bound b (ignored with -exact)")
-		workers      = flag.Int("workers", 1, "engine worker-pool size for the per-message fan-out (1 = sequential; results are identical for any value)")
 		exact        = flag.Bool("exact", false, "run the exact (exponential) algorithm")
 		maxHyp       = flag.Int("max", 5_000_000, "abort the exact algorithm beyond this working-set size (0 = unlimited)")
 		senderWin    = flag.Int64("sender-window", 0, "candidate policy: sender must end within this window before the rise (0 = unlimited)")
@@ -122,7 +121,6 @@ func main() {
 			MaxSenders:     *maxSenders,
 			MaxReceivers:   *maxReceivers,
 		},
-		Workers:    *workers,
 		Observer:   obsv,
 		Provenance: *explain != "",
 	}

@@ -34,10 +34,11 @@ import (
 //
 //	1 — initial schema (per-bound wall time, working-set pressure,
 //	    allocation deltas).
-//	2 — adds per-run Workers (engine worker-pool size) and
-//	    SpeedupVsSequential (sequential median / parallel median for
-//	    the same sweep point).
-const SchemaVersion = 2
+//	2 — adds per-run workers (engine worker-pool size) and
+//	    speedup_vs_sequential.
+//	3 — drops both again: the engine has one sequential path, so
+//	    every run is sequential.
+const SchemaVersion = 3
 
 // Host records where a benchmark ran.
 type Host struct {
@@ -50,11 +51,6 @@ type Host struct {
 	// toolchain that does not stamp it).
 	Commit string `json:"commit,omitempty"`
 }
-
-// CanMeasureSpeedup reports whether a parallel speedup at the given
-// worker count is meaningful on h: only with at least one CPU per
-// worker.
-func (h Host) CanMeasureSpeedup(workers int) bool { return h.CPUs >= workers }
 
 // NewHost captures the current host, including the vcs.revision build
 // setting when present.
@@ -82,15 +78,6 @@ type Run struct {
 	Name string `json:"name"`
 	// Bound is the heuristic bound b; 0 means the exact algorithm.
 	Bound int `json:"bound"`
-	// Workers is the engine worker-pool size the run used (1 =
-	// sequential; the learner's default).
-	Workers int `json:"workers"`
-	// SpeedupVsSequential is sequential-median / this-run-median for
-	// sweep points measured both ways; 0 when not measured. It is only
-	// recorded when the host has at least Workers CPUs: on a smaller
-	// host the ratio measures scheduler noise, not parallelism, and
-	// Validate rejects it.
-	SpeedupVsSequential float64 `json:"speedup_vs_sequential,omitempty"`
 	// Repetitions is the number of measured repetitions behind the
 	// summary statistics.
 	Repetitions int `json:"repetitions"`
@@ -165,16 +152,6 @@ func (f *File) Validate() error {
 		seen[r.Name] = true
 		if r.Repetitions <= 0 {
 			return fmt.Errorf("bench: run %q: repetitions %d", r.Name, r.Repetitions)
-		}
-		if r.Workers < 1 {
-			return fmt.Errorf("bench: run %q: workers %d (must be >= 1)", r.Name, r.Workers)
-		}
-		if r.SpeedupVsSequential < 0 {
-			return fmt.Errorf("bench: run %q: negative speedup %v", r.Name, r.SpeedupVsSequential)
-		}
-		if r.SpeedupVsSequential != 0 && !f.Host.CanMeasureSpeedup(r.Workers) {
-			return fmt.Errorf("bench: run %q: speedup %v recorded on a %d-CPU host with %d workers",
-				r.Name, r.SpeedupVsSequential, f.Host.CPUs, r.Workers)
 		}
 		if r.MedianNS <= 0 || r.P95NS < r.MedianNS {
 			return fmt.Errorf("bench: run %q: median %d ns, p95 %d ns", r.Name, r.MedianNS, r.P95NS)
@@ -259,7 +236,6 @@ func Summarize(name string, bound int, samples []Sample) Run {
 	return Run{
 		Name:        name,
 		Bound:       bound,
-		Workers:     1, // sequential unless the caller overrides
 		Repetitions: len(samples),
 		MedianNS:    ns[len(ns)/2],
 		P95NS:       ns[p95Index(len(ns))],

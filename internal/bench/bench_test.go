@@ -11,21 +11,14 @@ import (
 
 func sampleFile() *File {
 	f := New("test")
-	// The sample carries a 4-worker speedup, which is only valid on a
-	// host with at least 4 CPUs; pin that instead of inheriting the
-	// test machine's count.
-	f.Host.CPUs = 4
 	f.Config = "lite"
 	f.Periods = 10
 	f.Seed = 7
 	f.Runs = []Run{
-		{Name: "bound_4", Bound: 4, Workers: 1, Repetitions: 3, MedianNS: 1_000_000, P95NS: 1_200_000,
+		{Name: "bound_4", Bound: 4, Repetitions: 3, MedianNS: 1_000_000, P95NS: 1_200_000,
 			Hypotheses: 2, PeakLive: 8, Merges: 5, AllocBytes: 64_000, Allocs: 900},
-		{Name: "bound_16", Bound: 16, Workers: 1, Repetitions: 3, MedianNS: 4_000_000, P95NS: 4_800_000,
+		{Name: "bound_16", Bound: 16, Repetitions: 3, MedianNS: 4_000_000, P95NS: 4_800_000,
 			Hypotheses: 1, Converged: true, PeakLive: 16, Merges: 2, AllocBytes: 256_000, Allocs: 3_000},
-		{Name: "bound_16_w4", Bound: 16, Workers: 4, SpeedupVsSequential: 1.02,
-			Repetitions: 3, MedianNS: 3_900_000, P95NS: 4_700_000,
-			Hypotheses: 1, Converged: true, PeakLive: 16, Merges: 2, AllocBytes: 260_000, Allocs: 3_100},
 	}
 	return f
 }
@@ -55,18 +48,21 @@ func TestSchemaFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		`"schema_version":2`, `"label":"test"`, `"created_at"`,
+		`"schema_version":3`, `"label":"test"`, `"created_at"`,
 		`"host"`, `"os"`, `"arch"`, `"cpus"`, `"go_version"`,
 		`"config":"lite"`, `"periods":10`, `"seed":7`,
 		`"runs"`, `"name":"bound_4"`, `"bound":4`, `"repetitions":3`,
 		`"median_ns":1000000`, `"p95_ns":1200000`, `"hypotheses":2`,
 		`"converged":true`, `"peak_live":8`, `"merges":5`,
 		`"alloc_bytes":64000`, `"allocs":900`,
-		`"workers":1`, `"name":"bound_16_w4"`, `"workers":4`,
-		`"speedup_vs_sequential":1.02`,
 	} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("serialized file lacks %s:\n%s", key, data)
+		}
+	}
+	for _, key := range []string{`"workers"`, `"speedup_vs_sequential"`} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("serialized file still carries the schema-2 key %s:\n%s", key, data)
 		}
 	}
 }
@@ -85,9 +81,6 @@ func TestValidateRejections(t *testing.T) {
 		{"duplicate run", func(f *File) { f.Runs[1].Name = f.Runs[0].Name }},
 		{"zero repetitions", func(f *File) { f.Runs[0].Repetitions = 0 }},
 		{"p95 below median", func(f *File) { f.Runs[0].P95NS = f.Runs[0].MedianNS - 1 }},
-		{"zero workers", func(f *File) { f.Runs[0].Workers = 0 }},
-		{"negative speedup", func(f *File) { f.Runs[2].SpeedupVsSequential = -0.5 }},
-		{"speedup on too few CPUs", func(f *File) { f.Host.CPUs = 2 }},
 	}
 	for _, tc := range cases {
 		f := sampleFile()
@@ -137,7 +130,7 @@ func TestMeasureAndSummarize(t *testing.T) {
 		}
 	}
 	r := Summarize("bound_8", 8, samples)
-	if r.Name != "bound_8" || r.Bound != 8 || r.Repetitions != 5 || r.Workers != 1 {
+	if r.Name != "bound_8" || r.Bound != 8 || r.Repetitions != 5 {
 		t.Errorf("summary identity wrong: %+v", r)
 	}
 	if r.MedianNS <= 0 || r.P95NS < r.MedianNS {
@@ -234,22 +227,5 @@ func TestNewHostPopulated(t *testing.T) {
 	h := NewHost()
 	if h.OS == "" || h.Arch == "" || h.CPUs <= 0 || !strings.HasPrefix(h.GoVersion, "go") {
 		t.Errorf("host metadata incomplete: %+v", h)
-	}
-}
-
-// TestValidateSpeedupNeedsCPUs: a parallel run on a host with fewer
-// CPUs than workers is valid as long as it does not claim a speedup.
-func TestValidateSpeedupNeedsCPUs(t *testing.T) {
-	f := sampleFile()
-	f.Host.CPUs = 1
-	if err := f.Validate(); err == nil || !strings.Contains(err.Error(), "1-CPU host with 4 workers") {
-		t.Fatalf("speedup on a 1-CPU host: Validate = %v", err)
-	}
-	f.Runs[2].SpeedupVsSequential = 0
-	if err := f.Validate(); err != nil {
-		t.Errorf("unmeasured speedup on a 1-CPU host rejected: %v", err)
-	}
-	if !(Host{CPUs: 4}).CanMeasureSpeedup(4) || (Host{CPUs: 3}).CanMeasureSpeedup(4) {
-		t.Error("CanMeasureSpeedup disagrees with cpus >= workers")
 	}
 }

@@ -24,7 +24,6 @@ type StreamConverter struct {
 	seq  map[int]int
 	last int64 // rise time of the previous frame
 	has  bool  // whether any frame has been seen
-	line int   // lines consumed, for error positions
 }
 
 // NewStreamConverter returns a converter for a bus at the given bit
@@ -45,7 +44,6 @@ func (sc *StreamConverter) Clone() *StreamConverter {
 		seq:  make(map[int]int, len(sc.seq)),
 		last: sc.last,
 		has:  sc.has,
-		line: sc.line,
 	}
 	for id, n := range sc.seq {
 		cp.seq[id] = n
@@ -55,20 +53,19 @@ func (sc *StreamConverter) Clone() *StreamConverter {
 
 // Line consumes one log line and returns the frame's rise and fall
 // events, or nil for blank and comment lines. Errors wrap the same
-// sentinels as ParseLog and leave the converter unchanged.
+// sentinels as ParseLog and leave the converter unchanged; they carry
+// no line position, which the caller adds in its own numbering.
 func (sc *StreamConverter) Line(s string) ([]trace.Event, error) {
-	sc.line++
 	line := strings.TrimSpace(s)
 	if line == "" || strings.HasPrefix(line, "#") {
 		return nil, nil
 	}
 	rec, err := parseLogLine(line)
 	if err != nil {
-		return nil, fmt.Errorf("line %d: %w", sc.line, err)
+		return nil, err
 	}
 	if sc.has && rec.Time < sc.last {
-		return nil, fmt.Errorf("line %d: %w: %dµs after %dµs",
-			sc.line, ErrNonMonotoneTimestamp, rec.Time, sc.last)
+		return nil, fmt.Errorf("%w: %dµs after %dµs", ErrNonMonotoneTimestamp, rec.Time, sc.last)
 	}
 	sc.last = rec.Time
 	sc.has = true

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/blackbox-rt/modelgen/internal/casestudy"
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/lattice"
+	"github.com/blackbox-rt/modelgen/internal/learner"
 	"github.com/blackbox-rt/modelgen/internal/model"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
@@ -216,5 +218,31 @@ func TestThm2CatchesDemotedTruth(t *testing.T) {
 	}
 	if len(vs) == 0 {
 		t.Fatal("thm2 oracle missed a demoted ground-truth entry")
+	}
+}
+
+// TestLemmaBound1CaseStudy checks the paper's Lemma at case-study
+// scale: on the 7-task lite model, over simulation seeds 1–10 of the
+// published 27 periods each, the bound-1 result's LUB equals the exact
+// LUB. Only bound 1 is checked: at intermediate bounds the heuristic
+// may settle on a different explanation (THEORY.md §5).
+func TestLemmaBound1CaseStudy(t *testing.T) {
+	pol := casestudy.LitePolicy()
+	for seed := int64(1); seed <= 10; seed++ {
+		tr, err := simTrace(casestudy.LiteModel(), casestudy.Periods, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, err := learner.Learn(tr, learner.Options{Policy: pol})
+		if err != nil {
+			t.Fatalf("seed %d: exact: %v", seed, err)
+		}
+		one, err := learner.Learn(tr, learner.Options{Bound: 1, Policy: pol})
+		if err != nil {
+			t.Fatalf("seed %d: bound 1: %v", seed, err)
+		}
+		if !one.LUB.Equal(exact.LUB) {
+			t.Errorf("seed %d: bound-1 LUB %q differs from exact LUB %q", seed, one.LUB.Key(), exact.LUB.Key())
+		}
 	}
 }

@@ -41,10 +41,10 @@
 //     maintained fingerprint never drifts from a from-scratch
 //     recomputation (witnessed through a rebuilt clone).
 //   - Metamorphic invariances (oracle "metamorphic"): the learned
-//     result is invariant under worker-count changes, uniform message
-//     relabeling, uniform time translation, and — in exact mode, where
-//     the model of computation makes the hypothesis space
-//     order-independent — permutation of the period sequence.
+//     result is invariant under uniform message relabeling, uniform
+//     time translation, and — in exact mode, where the model of
+//     computation makes the hypothesis space order-independent —
+//     permutation of the period sequence.
 //
 // # Corpus
 //

@@ -16,8 +16,6 @@ import (
 // Metamorphic checks result invariance under transformations that the
 // model of computation says cannot matter:
 //
-//   - worker count: the engine's fan-out is proven result-invariant,
-//     so Workers ∈ {1, 4} must produce identical results;
 //   - message relabeling: occurrence labels are opaque, so renaming
 //     every message uniformly must not change anything;
 //   - time translation: candidate feasibility uses only comparisons
@@ -54,9 +52,6 @@ func Metamorphic(tr *trace.Trace, opt learner.Options) ([]Violation, error) {
 		}
 	}
 
-	wopt := opt
-	wopt.Workers = 4
-	check("metamorphic/worker-count", tr, wopt)
 	check("metamorphic/message-relabel", relabelMessages(tr), opt)
 	check("metamorphic/time-translation", translate(tr, 1_000_000), opt)
 	if opt.Bound <= 0 {

@@ -21,8 +21,10 @@ import (
 // Ownership rules (also documented on the DepFunc methods):
 //
 //   - every buffer carries its sharer count in word 0, maintained with
-//     atomics so workers may CloneShared/mutate hypotheses that share
-//     a buffer concurrently;
+//     atomics. Buffers are shared only inside one engine, on one
+//     goroutine, so no count is contended today; a plain counter
+//     measured no faster, and the atomics keep a count sound should a
+//     caller ever share matrices across goroutines;
 //   - acquire hands out buffers with a count of 1;
 //   - Release decrements and recycles at zero. Only release matrices
 //     with no aliases outside the refcount (a matrix held by a dedup

@@ -27,20 +27,15 @@
 // envelope events. Front-ends (internal/learner's Learn and Online)
 // are thin wrappers that own result assembly and verification.
 //
-// # Parallelism and determinism
+// # Sequential by design
 //
-// With Config.Workers > 1 each generalize stage spawns one worker
-// pool and, per message, partitions the live hypothesis set into
-// Workers contiguous chunks: child generation for each parent is
-// independent (Assume never mutates the parent or any shared state),
-// each chunk fills its own reusable flat child buffer, and because
-// the chunks tile the parent list in order, the result is gathered
-// strictly in (parent, candidate-pair) order — the exact order the
-// sequential loop produces. Deduplication, statistics, observer
-// events and bounded merging all happen during the sequential gather,
-// so the output is bit-identical to the sequential path for any
-// worker count, in both the exact and the bounded mode. Workers <= 1
-// selects the allocation-lean sequential loop.
+// One Engine is one sequential pass, the paper's Algorithm 1: each
+// message extends every live hypothesis by every candidate pair, and
+// the children are gathered (deduplicated, and under a bound merged)
+// in (parent, candidate-pair) order. The gather's order decides which
+// hypotheses the bounded heuristic merges, so it stays on one
+// goroutine. Parallelism lives one level up: the served system runs
+// one engine per stream, each on its own owner goroutine.
 //
 // # Fingerprints
 //
@@ -90,11 +85,6 @@ type Config struct {
 	// ErrTooManyHypotheses when the working set grows beyond this
 	// size. Zero means unlimited.
 	MaxHypotheses int
-
-	// Workers is the size of the per-message fan-out worker pool.
-	// Values <= 1 select the sequential path. Results are identical
-	// for every value (see the package comment).
-	Workers int
 
 	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
 	// recent N periods (older entries are discarded). Zero keeps the
@@ -170,9 +160,8 @@ type Stats struct {
 
 // Engine is the period-processing core: the working hypothesis set
 // D_cur, the cumulative execution-violation history and the run
-// statistics. It is not safe for concurrent use by multiple
-// goroutines (its internal worker pool is an implementation detail of
-// a single ProcessPeriod call).
+// statistics. It runs on its caller's goroutine and is not safe for
+// concurrent use.
 type Engine struct {
 	ts    *depfunc.TaskSet
 	cfg   Config
@@ -189,15 +178,11 @@ type Engine struct {
 	seen hypothesis.Dedup
 	// wl is the gather's worklist, reused message after message.
 	wl workList
-	// arenas bump-allocate assumption cons cells and recycle
-	// hypothesis headers: one arena per fan-out worker chunk plus
-	// arenas[Workers] for the sequential path, the gather's merges
-	// and assumption forgetting. All are reset at the period
-	// boundary, right after ClearAssumptions has severed every
-	// surviving reference.
-	arenas []hypothesis.Arena
-	// scratch is the sequential fan-out's reusable child buffer.
-	scratch []*hypothesis.Hypothesis
+	// arena bump-allocates assumption cons cells and recycles
+	// hypothesis headers for child generation, the gather's merges and
+	// assumption forgetting. It is reset at the period boundary, right
+	// after ClearAssumptions has severed every surviving reference.
+	arena hypothesis.Arena
 
 	// Prune scratch, grown on first use and reused message after
 	// message and period after period (prune.go): the violation mask,
@@ -213,28 +198,17 @@ type Engine struct {
 	asmBits   []uint64
 }
 
-// newEngine returns an engine over ts with cfg normalized and no
-// working set yet; New and Restore fill in the session state.
+// newEngine returns an engine over ts and cfg with no working set
+// yet; New and Restore fill in the session state.
 func newEngine(ts *depfunc.TaskSet, cfg Config) *Engine {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	e := &Engine{
-		ts:     ts,
-		cfg:    cfg,
-		arenas: make([]hypothesis.Arena, cfg.Workers+1),
-	}
+	e := &Engine{ts: ts, cfg: cfg}
 	e.wl = workList{bound: cfg.Bound, stats: &e.stats, obsv: cfg.Observer}
 	return e
 }
 
-// mainArena returns the arena of the engine's own goroutine (the
-// sequential fan-out, gather and postprocess paths).
-func (e *Engine) mainArena() *hypothesis.Arena { return &e.arenas[e.cfg.Workers] }
-
 // New starts an engine session over the task set: the working set is
 // {d⊥}. It announces the session to the observer with an EngineStart
-// event carrying the effective worker count and bound.
+// event carrying the bound.
 func New(ts *depfunc.TaskSet, cfg Config) *Engine {
 	e := newEngine(ts, cfg)
 	bottom := hypothesis.Bottom(ts)
@@ -246,7 +220,7 @@ func New(ts *depfunc.TaskSet, cfg Config) *Engine {
 	e.stats.Peak = 1
 	e.resetDeltaBase()
 	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: e.cfg.Workers, Bound: cfg.Bound})
+		cfg.Observer.OnEngineStart(obs.EngineStart{Bound: cfg.Bound})
 	}
 	return e
 }
@@ -344,14 +318,9 @@ func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, []map[d
 func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[depfunc.Pair]bool) error {
 	obsv := e.cfg.Observer
 	sp := obs.StartSpan(obsv, obs.PhaseGeneralize)
-	var pool *fanPool
-	if e.cfg.Workers > 1 {
-		pool = e.newFanPool()
-		defer pool.close()
-	}
 	cur := e.cur
 	for mi := range p.Msgs {
-		next, err := e.generalizeMessage(pool, cur, cands[mi], p.Index, mi, p.Msgs[mi].ID)
+		next, err := e.generalizeMessage(cur, cands[mi], p.Index, mi, p.Msgs[mi].ID)
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("%w (period %d, message %q)", err, p.Index, p.Msgs[mi].ID)
@@ -363,7 +332,7 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 			// share parent buffers only through the refcount), so its
 			// matrices go back to the arena.
 			for _, h := range cur {
-				h.Release(e.mainArena())
+				h.Release(&e.arena)
 			}
 		}
 		cur = e.forgetDeadAssumptions(next, live[mi+1])
@@ -404,18 +373,11 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 	before := len(e.cur)
 	e.cur = e.pruneMostSpecific(e.cur, p.Index)
 	// Every surviving assumption list was just cleared and no other
-	// holder outlives the period, so the cons-cell arenas can recycle
-	// wholesale. The main arena keeps at most one spare header per
-	// survivor and the chunk arenas none (the fan-out tops them up
-	// from the main arena), so an engine idling between periods pins
-	// no more headers than its live set.
-	for i := range e.arenas {
-		keep := 0
-		if i == e.cfg.Workers {
-			keep = len(e.cur)
-		}
-		e.arenas[i].Reset(keep)
-	}
+	// holder outlives the period, so the cons cells can recycle
+	// wholesale. The arena keeps at most one spare header per
+	// survivor, so an engine idling between periods pins no more
+	// headers than its live set.
+	e.arena.Reset(len(e.cur))
 	// The dedup set's stale slots would otherwise keep this period's
 	// pruned and superseded hypotheses reachable.
 	e.seen.Clear()
@@ -426,23 +388,34 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 
 // generalizeMessage extends every hypothesis in cur by every
 // admissible candidate assumption for one message, applying heuristic
-// merging when a bound is set. Child generation shards across the
-// stage's worker pool when one is supplied; gathering is always
-// sequential in (parent, pair) order, so the result does not depend on
-// Workers.
-func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, pairs []depfunc.Pair,
+// merging when a bound is set. Children are gathered in (parent, pair)
+// order as they are generated.
+func (e *Engine) generalizeMessage(cur []*hypothesis.Hypothesis, pairs []depfunc.Pair,
 	period, msg int, msgID string) ([]*hypothesis.Hypothesis, error) {
 
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("%w: message has no timing-feasible sender/receiver pair", ErrNoHypothesis)
 	}
-	ctx := hypothesis.StepCtx{Period: period, Msg: msg, MsgID: msgID, Arena: e.mainArena()}
+	ctx := hypothesis.StepCtx{Period: period, Msg: msg, MsgID: msgID, Arena: &e.arena}
 	wl := &e.wl
 	wl.begin(minWeight(cur), ctx)
 	seen := &e.seen
 	seen.Reset()
-	gather := func(children []*hypothesis.Hypothesis) {
-		for _, c := range children {
+	n := e.ts.Len()
+	for _, h := range cur {
+		for _, pr := range pairs {
+			fwd := lattice.Fwd
+			if e.hist[pr.S*n+pr.R] {
+				fwd = lattice.FwdMaybe
+			}
+			bwd := lattice.Bwd
+			if e.hist[pr.R*n+pr.S] {
+				bwd = lattice.BwdMaybe
+			}
+			c := h.Assume(pr, fwd, bwd, ctx)
+			if c == nil {
+				continue
+			}
 			if seen.Insert(c) {
 				// An equal hypothesis is already in the working list;
 				// the rejected duplicate was never seen by anyone else,
@@ -460,19 +433,6 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 		}
 	}
 
-	if pool != nil && len(cur) >= minParallelParents {
-		for _, children := range pool.run(cur, pairs, ctx) {
-			gather(children)
-		}
-	} else {
-		// Sequential fast path: one engine-owned scratch slice, no
-		// per-parent (or per-message) allocation.
-		for _, h := range cur {
-			e.scratch = e.childrenOf(h, pairs, ctx, e.scratch[:0])
-			gather(e.scratch)
-		}
-	}
-
 	out := wl.take()
 	// The dedup set is dead from here on: hypotheses the bounded
 	// heuristic merged away can no longer be consulted by any equality
@@ -485,31 +445,6 @@ func (e *Engine) generalizeMessage(pool *fanPool, cur []*hypothesis.Hypothesis, 
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooManyHypotheses, len(out), e.cfg.MaxHypotheses)
 	}
 	return out, nil
-}
-
-// childrenOf appends the admissible children of one parent for one
-// message to dst (a scratch slice on the sequential path, a chunk
-// buffer holding earlier parents' children on the parallel one). It
-// reads only immutable shared state (hist is frozen during the
-// generalize stage), so concurrent calls on distinct parents are safe.
-func (e *Engine) childrenOf(h *hypothesis.Hypothesis, pairs []depfunc.Pair,
-	ctx hypothesis.StepCtx, dst []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
-
-	n := e.ts.Len()
-	for _, pr := range pairs {
-		fwd := lattice.Fwd
-		if e.hist[pr.S*n+pr.R] {
-			fwd = lattice.FwdMaybe
-		}
-		bwd := lattice.Bwd
-		if e.hist[pr.R*n+pr.S] {
-			bwd = lattice.BwdMaybe
-		}
-		if c := h.Assume(pr, fwd, bwd, ctx); c != nil {
-			dst = append(dst, c)
-		}
-	}
-	return dst
 }
 
 // minWeight returns the weight of the lightest hypothesis in hs
@@ -554,7 +489,7 @@ func (e *Engine) forgetDeadAssumptions(hs []*hypothesis.Hypothesis, live map[dep
 	seen := &e.seen
 	seen.Reset()
 	out := hs[:0]
-	ar := e.mainArena()
+	ar := &e.arena
 	for _, h := range hs {
 		h.RetainAssumptions(func(p depfunc.Pair) bool { return live[p] }, ar)
 		if !seen.Insert(h) {

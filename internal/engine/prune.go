@@ -70,7 +70,7 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 // remove or unify h2's descendants anyway (THEORY.md §3a). Survivors
 // keep their input order, compacted into hs's backing array with the
 // tail cleared; each dropped hypothesis is reported as "subsumed", in
-// input order, and released into the main arena.
+// input order, and released into the engine's arena.
 //
 // Dedup has unified equal states, so a dominator is strictly lighter,
 // or equally heavy with strictly fewer assumptions: it comes strictly
@@ -134,7 +134,7 @@ func (e *Engine) subsume(hs []*hypothesis.Hypothesis, period int) []*hypothesis.
 		return hs
 	}
 	obsv := e.cfg.Observer
-	ar := e.mainArena()
+	ar := &e.arena
 	out := hs[:0]
 	for i, h := range hs {
 		if !drop[i] {

@@ -82,7 +82,7 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 	}
 	e.resetDeltaBase()
 	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Workers: e.cfg.Workers, Bound: cfg.Bound})
+		cfg.Observer.OnEngineStart(obs.EngineStart{Bound: cfg.Bound})
 	}
 	return e, nil
 }

@@ -8,21 +8,18 @@ import "github.com/blackbox-rt/modelgen/internal/depfunc"
 //   - assumption cons cells, bump-allocated in blocks. Assumption
 //     lists never outlive the period that created them
 //     (ClearAssumptions runs on every survivor at period end), so the
-//     engine resets its arenas at the period boundary and the cells
+//     engine resets its arena at the period boundary and the cells
 //     are reused wholesale — no per-cell allocation, no per-cell GC
 //     tracking;
-//   - Hypothesis headers, recycled through a freelist. The fan-out
+//   - Hypothesis headers, recycled through a freelist. Generalization
 //     creates and retires hypotheses at a rate of parents × candidate
 //     pairs per message; Assume and Merge pop a header and Release
 //     pushes it back, so the steady state allocates no headers at all.
 //     Release guards the freelist against double pushes through the
 //     embedded matrix's own released state.
 //
-// An Arena must only be used by one goroutine at a time; the engine
-// owns one per fan-out worker chunk plus one for the sequential gather
-// path, and moves spare headers between them (TopUp) only on its own
-// goroutine, before dispatching the workers. The nil Arena is valid
-// and falls back to plain heap allocation.
+// An Arena is not safe for concurrent use; each engine owns one. The
+// nil Arena is valid and falls back to plain heap allocation.
 type Arena struct {
 	blocks   [][]assumeNode
 	bi, used int
@@ -64,26 +61,12 @@ func (a *Arena) header() *Hypothesis {
 	return h
 }
 
-// TopUp moves spare headers from src's freelist to a's until a holds
-// n of them or src runs dry. Both arenas must be idle: the engine
-// calls it on its own goroutine before dispatching fan-out workers.
-func (a *Arena) TopUp(src *Arena, n int) {
-	k := min(n-len(a.free), len(src.free))
-	if k <= 0 {
-		return
-	}
-	from := len(src.free) - k
-	a.free = append(a.free, src.free[from:]...)
-	clear(src.free[from:])
-	src.free = src.free[:from]
-}
-
 // Reset recycles every cell and trims the header freelist to at most
-// keep spare headers, so a run that once fanned out widely does not
-// pin its high-water header count for the rest of the session. Only
-// call it when no live hypothesis can still reference a cell from
-// this arena — in the engine, immediately after the period-end
-// ClearAssumptions sweep.
+// keep spare headers, so a period that once generated many children
+// does not pin its high-water header count for the rest of the
+// session. Only call it when no live hypothesis can still reference a
+// cell from this arena — in the engine, immediately after the
+// period-end ClearAssumptions sweep.
 func (a *Arena) Reset(keep int) {
 	if a == nil {
 		return

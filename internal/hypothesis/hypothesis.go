@@ -21,7 +21,7 @@ import (
 // so an assumed pair must not be assumed again until the period ends.
 type Hypothesis struct {
 	// D is embedded by value: a hypothesis and its dependency-function
-	// header are one object, so the fan-out's per-child cost is a
+	// header are one object, so generalization's per-child cost is a
 	// single (recycled) header instead of two heap allocations. Callers
 	// that need a *depfunc.DepFunc take &h.D; the copy-on-write buffer
 	// rules are unchanged.
@@ -31,7 +31,7 @@ type Hypothesis struct {
 	// first, duplicate-free (Assume refuses an already-assumed pair).
 	// Children extend their parent's list by one shared cell instead
 	// of copying a map — the list is immutable, so sharing is safe and
-	// fan-out costs O(1) per child. The set stays small (assumptions
+	// generalization costs O(1) per child. The set stays small (assumptions
 	// about dead pairs are forgotten every message), so the linear
 	// membership scan beats a map's per-child copy by a wide margin.
 	asm    *assumeNode
@@ -96,11 +96,10 @@ type StepCtx struct {
 
 	// Arena, when non-nil, supplies the assumption cons cells and the
 	// recycled headers that Assume and Merge would otherwise
-	// heap-allocate. The engine hands each fan-out worker chunk its
-	// own arena and resets them at the period boundary (when every
-	// assumption list is cleared anyway); the nil zero value falls
-	// back to plain allocation, so casual callers and tests need not
-	// care.
+	// heap-allocate. The engine owns one arena and resets it at the
+	// period boundary (when every assumption list is cleared anyway);
+	// the nil zero value falls back to plain allocation, so casual
+	// callers and tests need not care.
 	Arena *Arena
 }
 

@@ -41,10 +41,7 @@
 // generalization, end-of-period post-processing — lives in
 // internal/engine; this package is the result-facing front-end. Learn
 // and Online both drive the same engine, which is what guarantees
-// their equivalence, and Options.Workers shards the engine's
-// per-message fan-out across a worker pool without changing any
-// result (see the engine package comment for the determinism
-// argument).
+// their equivalence.
 package learner
 
 import (
@@ -92,14 +89,6 @@ type Options struct {
 	// size. Zero means unlimited.
 	MaxHypotheses int
 
-	// Workers is the size of the engine's per-message fan-out worker
-	// pool. Values <= 1 (the default) select the sequential path.
-	// The result is bit-identical for every value, in both the exact
-	// and the bounded mode: parallelism only reorders child
-	// *computation*, never the gather order that determines merging
-	// and deduplication.
-	Workers int
-
 	// VerifyResults re-checks every final hypothesis against the full
 	// trace with the matching function M and drops any that fail
 	// (counted in Stats.DroppedUnsound). The exact algorithm never
@@ -145,7 +134,7 @@ type Options struct {
 	// verification report (engine.VerifyOutcome): whether each newly
 	// consumed period matched the model as it stood before the
 	// period, plus the post-period frontier LUB. It is a runtime knob
-	// (like Workers): not part of snapshots, and internal/serve wires
+	// (like Observer): not part of snapshots, and internal/serve wires
 	// it to the stream's drift monitor. The callback runs on the
 	// goroutine driving AddPeriod/Learn.
 	OnPeriodVerify func(engine.VerifyOutcome)
@@ -171,7 +160,6 @@ func (opt Options) engineConfig() engine.Config {
 		Bound:          opt.Bound,
 		Policy:         opt.Policy,
 		MaxHypotheses:  opt.MaxHypotheses,
-		Workers:        opt.Workers,
 		PeriodLiveCap:  opt.PeriodLiveCap,
 		Observer:       opt.Observer,
 		Provenance:     opt.Provenance,

@@ -5,14 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/conformance"
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/learner"
 	"github.com/blackbox-rt/modelgen/internal/model"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/sim"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
@@ -22,26 +20,14 @@ import (
 // scalar-side through depfunc.Reference (the retained table-driven
 // kernel) and the packed and scalar sides must agree on every matrix
 // entry, fingerprint, weight and canonical key — over the full golden
-// conformance corpus and a few hundred randomized simulated traces,
-// for worker counts 1, 4 and 8. It lives in the external test package
+// conformance corpus and a few hundred randomized simulated traces.
+// It lives in the external test package
 // because the golden corpus generator imports the learner.
 
 // packedReplaySeed replays one randomized case in isolation (the
 // packed-tier analogue of -modelgen.seed, which the in-package
 // differential suite already claims).
 var packedReplaySeed = flag.Int64("modelgen.packedseed", -1, "replay the packed-oracle case with this seed only")
-
-// packedSig collapses a result into a comparable signature, keyed on
-// canonical keys and fingerprints of every hypothesis and the LUB.
-func packedSig(r *learner.Result) []string {
-	sig := make([]string, 0, len(r.Hypotheses)+2)
-	for _, d := range r.Hypotheses {
-		sig = append(sig, fmt.Sprintf("%s#%016x", d.Key(), d.Fingerprint()))
-	}
-	sig = append(sig, fmt.Sprintf("LUB:%s#%016x", r.LUB.Key(), r.LUB.Fingerprint()),
-		fmt.Sprintf("converged:%v", r.Converged))
-	return sig
-}
 
 // refVerify replays every returned matrix through the scalar reference
 // kernel: each hypothesis must match its scalar reconstruction cell by
@@ -68,70 +54,22 @@ func refVerify(r *learner.Result) error {
 	return nil
 }
 
-// comparableEvents filters a recorded stream down to the kinds that
-// are defined to be worker-count-invariant (engine_start carries the
-// worker count, run_end and span carry wall-clock durations).
-func comparableEvents(events []obs.Event) []obs.Event {
-	out := make([]obs.Event, 0, len(events))
-	for _, e := range events {
-		switch e.Kind() {
-		case "period_start", "message_processed", "hypothesis_spawned",
-			"hypothesis_merged", "hypothesis_pruned", "period_end":
-			out = append(out, e)
-		}
+// checkReference runs Learn over tr at the given options and fails
+// unless the result verifies against the scalar reference kernel.
+func checkReference(tr *trace.Trace, opt learner.Options) error {
+	res, err := learner.Learn(tr, opt)
+	if err != nil {
+		return err
 	}
-	return out
-}
-
-// checkWorkers runs Learn over tr at the given options for workers 1,
-// 4 and 8 and fails unless all three produce identical signatures,
-// statistics and event streams and all three results verify against
-// the scalar reference kernel. It returns the workers=1 result.
-func checkWorkers(tr *trace.Trace, opt learner.Options) (*learner.Result, error) {
-	type run struct {
-		res    *learner.Result
-		events []obs.Event
+	if err := refVerify(res); err != nil {
+		return fmt.Errorf("scalar reference disagrees: %w", err)
 	}
-	runs := make([]run, 0, 3)
-	for _, workers := range []int{1, 4, 8} {
-		o := opt
-		o.Workers = workers
-		rec := obs.NewRecorder()
-		o.Observer = rec
-		res, err := learner.Learn(tr, o)
-		if err != nil {
-			return nil, fmt.Errorf("workers %d: %w", workers, err)
-		}
-		if err := refVerify(res); err != nil {
-			return nil, fmt.Errorf("workers %d: scalar reference disagrees: %w", workers, err)
-		}
-		runs = append(runs, run{res, comparableEvents(rec.Events())})
-	}
-	base := runs[0]
-	want := packedSig(base.res)
-	for i, workers := range []int{4, 8} {
-		r := runs[i+1]
-		if got := packedSig(r.res); !reflect.DeepEqual(got, want) {
-			return nil, fmt.Errorf("workers %d: result diverges from sequential:\n got %v\nwant %v", workers, got, want)
-		}
-		if !reflect.DeepEqual(r.res.Stats.PeriodLive, base.res.Stats.PeriodLive) ||
-			r.res.Stats.Children != base.res.Stats.Children ||
-			r.res.Stats.Merges != base.res.Stats.Merges ||
-			r.res.Stats.Relaxations != base.res.Stats.Relaxations {
-			return nil, fmt.Errorf("workers %d: stats diverge: %+v vs %+v", workers, r.res.Stats, base.res.Stats)
-		}
-		if !reflect.DeepEqual(r.events, base.events) {
-			return nil, fmt.Errorf("workers %d: event stream diverges (%d vs %d comparable events)",
-				workers, len(r.events), len(base.events))
-		}
-	}
-	return base.res, nil
+	return nil
 }
 
 // TestPackedOracleConformanceCorpus runs the packed-vs-scalar oracle
 // over every entry of the golden conformance corpus, at every bound
-// the entry's manifest declares (plus the exact mode where tractable),
-// for workers 1, 4 and 8.
+// the entry's manifest declares (plus the exact mode where tractable).
 func TestPackedOracleConformanceCorpus(t *testing.T) {
 	c, err := conformance.GenerateCorpus()
 	if err != nil {
@@ -148,7 +86,7 @@ func TestPackedOracleConformanceCorpus(t *testing.T) {
 				Policy:        e.Policy(),
 				MaxHypotheses: conformance.MaxExactHypotheses,
 			}
-			if _, err := checkWorkers(e.Trace, opt); err != nil {
+			if err := checkReference(e.Trace, opt); err != nil {
 				t.Errorf("entry %s bound %d: %v", e.Name, bound, err)
 			}
 		}
@@ -204,7 +142,7 @@ func runPackedOracleCase(t *testing.T, seed int64) (cases int) {
 	}
 	for _, bound := range []int{0, 4 + int(seed%5)} {
 		opt := learner.Options{Bound: bound, MaxHypotheses: 2000}
-		if _, err := checkWorkers(out.Trace, opt); err != nil {
+		if err := checkReference(out.Trace, opt); err != nil {
 			if bound == 0 && errors.Is(err, learner.ErrTooManyHypotheses) {
 				continue // intractable exact case; doesn't count
 			}

@@ -23,7 +23,6 @@ const (
 	MetricRuns          = "modelgen_learner_runs_total"
 	MetricRunSeconds    = "modelgen_learner_run_seconds"
 	MetricProvSteps     = "modelgen_learner_provenance_steps_total"
-	MetricWorkers       = "modelgen_engine_workers"
 )
 
 // Metric-name constants of the drift/convergence family, maintained
@@ -104,7 +103,7 @@ type metricsObserver struct {
 
 	periods, messages, spawned, pruned, merges, relaxations, runs *Counter
 	provSteps                                                     *Counter
-	live, peak, workers                                           *Gauge
+	live, peak                                                    *Gauge
 	candidates, livePerPeriod, runSeconds                         *Histogram
 
 	mu       sync.Mutex
@@ -129,7 +128,6 @@ func NewMetricsObserver(reg *Registry) Observer {
 		provSteps:     reg.Counter(MetricProvSteps, "provenance steps emitted for winning hypotheses"),
 		live:          reg.Gauge(MetricLive, "live hypotheses after the last period"),
 		peak:          reg.Gauge(MetricPeak, "peak working-set size"),
-		workers:       reg.Gauge(MetricWorkers, "engine worker-pool size of the current session (1 = sequential)"),
 		candidates:    reg.Histogram(MetricCandidates, "timing-feasible candidate pairs per message", CandidateBuckets),
 		livePerPeriod: reg.Histogram(MetricLivePerPeriod, "live hypotheses at each period end", LiveBuckets),
 		runSeconds:    reg.Histogram(MetricRunSeconds, "learning-run wall time in seconds", RunSecondsBuckets),
@@ -138,7 +136,7 @@ func NewMetricsObserver(reg *Registry) Observer {
 	}
 }
 
-func (m *metricsObserver) OnEngineStart(e EngineStart) { m.workers.Set(int64(e.Workers)) }
+func (m *metricsObserver) OnEngineStart(EngineStart) {}
 
 func (m *metricsObserver) OnPeriodStart(PeriodStart) {}
 

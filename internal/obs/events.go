@@ -12,14 +12,11 @@ type Event interface {
 }
 
 // EngineStart opens a learning session: the period-engine
-// configuration behind the run. Workers is the size of the bounded
-// worker pool sharding the per-message hypothesis fan-out (1 =
-// sequential), Bound the heuristic working-set bound (0 = exact).
-// Emitted once per engine before its first period, by both the batch
-// and the incremental front-ends.
+// configuration behind the run. Bound is the heuristic working-set
+// bound (0 = exact). Emitted once per engine before its first period,
+// by both the batch and the incremental front-ends.
 type EngineStart struct {
-	Workers int `json:"workers"`
-	Bound   int `json:"bound"`
+	Bound int `json:"bound"`
 }
 
 // PeriodStart opens one period of a learning run.

@@ -24,7 +24,7 @@ func httpGet(url string) (string, error) {
 
 // emitAll drives one of every event through an observer.
 func emitAll(o Observer) {
-	o.OnEngineStart(EngineStart{Workers: 4, Bound: 8})
+	o.OnEngineStart(EngineStart{Bound: 8})
 	o.OnPeriodStart(PeriodStart{Period: 0, Messages: 2})
 	o.OnHypothesisSpawned(HypothesisSpawned{Period: 0, Index: 0, Weight: 2})
 	o.OnMessageProcessed(MessageProcessed{Period: 0, Index: 0, ID: "m1", Candidates: 2, Live: 2})
@@ -164,7 +164,6 @@ func TestMetricsObserverBridge(t *testing.T) {
 		MetricPeak:                         2,
 		"modelgen_trace_events_read_total": 12,
 		MetricProvSteps:                    1,
-		MetricWorkers:                      4,
 	}
 	for name, want := range checks {
 		if got := snap.Value(name); got != want {

@@ -15,12 +15,11 @@ import (
 
 // LearnOptions is the client-settable subset of learner.Options.
 // Algorithmic fields become part of the stream's checkpoints;
-// Workers, VerifyResults and Provenance are runtime knobs and may
-// differ across restarts of the same stream.
+// VerifyResults and Provenance are runtime knobs and may differ across
+// restarts of the same stream.
 type LearnOptions struct {
 	Bound          int   `json:"bound,omitempty"`
 	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
-	Workers        int   `json:"workers,omitempty"`
 	VerifyResults  bool  `json:"verify_results,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
 	PeriodLiveCap  int   `json:"period_live_cap,omitempty"`
@@ -31,24 +30,10 @@ type LearnOptions struct {
 	MaxReceivers   int   `json:"max_receivers,omitempty"`
 }
 
-// maxWorkers bounds LearnOptions.Workers. The engine allocates an
-// arena per worker and starts that many goroutines per generalize
-// stage, so a create request or an imported envelope asking for more
-// is refused before any engine exists.
-const maxWorkers = 64
-
-func (lo LearnOptions) check() error {
-	if lo.Workers > maxWorkers {
-		return fmt.Errorf("serve: workers %d over the limit of %d", lo.Workers, maxWorkers)
-	}
-	return nil
-}
-
 func (lo LearnOptions) options() learner.Options {
 	return learner.Options{
 		Bound:         lo.Bound,
 		MaxHypotheses: lo.MaxHypotheses,
-		Workers:       lo.Workers,
 		VerifyResults: lo.VerifyResults,
 		RetainPeriods: lo.RetainPeriods,
 		PeriodLiveCap: lo.PeriodLiveCap,

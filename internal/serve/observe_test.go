@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,16 @@ func TestTruncatedCandumpLineSurfacesTypedError(t *testing.T) {
 	feed.WriteString("period\n")
 	if ir := c.feed("cd", feed.String()); ir.Periods != 3 {
 		t.Fatalf("post-error feed cut %d periods, want 3", ir.Periods)
+	}
+
+	// After the converter has consumed frames, an error still names
+	// one position: the line within the rejected batch.
+	resp, body = c.do("POST", "/v1/streams/cd/events", []byte("(0.003150) can0 123#AA\n(0.003200) can0\n"))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated candump line after frames: %d %s", resp.StatusCode, body)
+	}
+	if pos := regexp.MustCompile(`line \d+`).FindAllString(string(body), -1); len(pos) != 1 || pos[0] != "line 2" {
+		t.Fatalf("error body %q names line positions %q, want only the batch's line 2", body, pos)
 	}
 }
 

@@ -455,9 +455,6 @@ func (sv *Server) addStream(info StreamInfo, snap *learner.Snapshot, learned int
 	if sv.cfg.CheckpointDir != "" && sv.storeErr != nil {
 		return nil, sv.storeErr
 	}
-	if err := info.Options.check(); err != nil {
-		return nil, err
-	}
 	s, err := sv.newStreamShell(info)
 	if err != nil {
 		return nil, err

@@ -552,27 +552,32 @@ func TestAPIRejections(t *testing.T) {
 
 // TestLearnOptionLimits: learner options come from network peers, so
 // none may size an allocation or a goroutine pool unchecked. A create
-// request or an imported envelope over the workers limit is refused
-// before an engine exists; a huge retain_periods allocates its ring on
-// demand and round-trips through export and import.
+// request or an imported envelope that still carries the retired
+// "workers" option is accepted, whatever its value, and learns the
+// same model as one without it; a huge retain_periods allocates its
+// ring on demand and round-trips through export and import.
 func TestLearnOptionLimits(t *testing.T) {
 	sv := New(Config{})
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 	c := newClient(t, ts)
+	const feed = "exec t1 0 5\nmsg m1 6 7\nexec t2 9 12\nperiod\n"
 
-	body, _ := json.Marshal(CreateStreamRequest{ID: "many", Tasks: []string{"t1"},
-		Options: LearnOptions{Workers: 1 << 40}})
-	if resp, out := c.do("POST", "/v1/streams", body); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("create with huge workers: %d %s, want 400", resp.StatusCode, out)
+	c.createStream(CreateStreamRequest{ID: "plain", Tasks: []string{"t1", "t2"}})
+	c.feed("plain", feed)
+	want := c.model("plain")
+	body := []byte(`{"id":"many","tasks":["t1","t2"],"options":{"workers":1099511627776}}`)
+	if resp, out := c.do("POST", "/v1/streams", body); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with a workers field: %d %s, want 201", resp.StatusCode, out)
 	}
-	if n := sv.StreamCount(); n != 0 {
-		t.Fatalf("refused create left %d streams", n)
+	c.feed("many", feed)
+	if got := c.model("many"); !reflect.DeepEqual(got.Hypotheses, want.Hypotheses) {
+		t.Fatalf("model with a workers field %v, want %v", got.Hypotheses, want.Hypotheses)
 	}
 
 	c.createStream(CreateStreamRequest{ID: "ring", Tasks: []string{"t1", "t2"},
 		Options: LearnOptions{RetainPeriods: 1 << 40, VerifyResults: true}})
-	c.feed("ring", "exec t1 0 5\nmsg m1 6 7\nexec t2 9 12\nperiod\n")
+	c.feed("ring", feed)
 	before := c.model("ring")
 	env, learned, err := sv.ExportStream("ring")
 	if err != nil {
@@ -589,18 +594,39 @@ func TestLearnOptionLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cf checkpointFile
-	if err := json.Unmarshal(env, &cf); err != nil {
+	if env, err = withWorkersOption(env); err != nil {
 		t.Fatal(err)
 	}
-	cf.Info.Options.Workers = 1 << 40
-	env, _ = json.Marshal(&cf)
-	if _, err := sv.ImportStream(env, learned); err == nil {
-		t.Fatal("import with huge workers accepted")
+	if _, err := sv.ImportStream(env, learned); err != nil {
+		t.Fatalf("import with a workers field: %v", err)
 	}
-	if sv.StreamExists("ring") {
-		t.Fatal("refused import registered the stream")
+	if after := c.model("ring"); !reflect.DeepEqual(after.Hypotheses, before.Hypotheses) {
+		t.Fatalf("model imported with a workers field %v, want %v", after.Hypotheses, before.Hypotheses)
 	}
+}
+
+// withWorkersOption adds `"workers": 1<<40` to an envelope's learner
+// options, leaving every other byte of the envelope as it was.
+func withWorkersOption(env []byte) ([]byte, error) {
+	var cf, info, opts map[string]json.RawMessage
+	if err := json.Unmarshal(env, &cf); err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(cf["info"], &info); err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(info["options"], &opts); err != nil {
+		return nil, err
+	}
+	opts["workers"] = json.RawMessage("1099511627776")
+	var err error
+	if info["options"], err = json.Marshal(opts); err != nil {
+		return nil, err
+	}
+	if cf["info"], err = json.Marshal(info); err != nil {
+		return nil, err
+	}
+	return json.Marshal(cf)
 }
 
 // TestCorpusCheckpointRestart is the acceptance criterion made

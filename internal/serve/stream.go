@@ -31,8 +31,9 @@ type queuedPeriod struct {
 // phaseBridge converts the engine's SpanEnd phase events
 // (candidates/generalize/postprocess) into trace spans parented under
 // the current learn_period span. The owner goroutine stores the
-// parent before AddPeriod; engine workers may emit OnSpan
-// concurrently, hence the atomic.
+// parent before AddPeriod, and the engine emits OnSpan on that same
+// goroutine; the atomic keeps the bridge sound should an observer call
+// ever arrive from another one.
 type phaseBridge struct {
 	obs.NopObserver
 	tracer *obs.Tracer
