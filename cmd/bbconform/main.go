@@ -74,23 +74,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var observers []obs.Observer
+	var (
+		observers []obs.Observer
+		sink      *obs.FileSink
+	)
 	if *verbose {
 		observers = append(observers, progressObserver{})
 	}
 	if *events != "" {
-		f, err := os.Create(*events)
+		sink, err = obs.OpenFileSink(*events)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		sink := obs.NewJSONLSink(f)
 		observers = append(observers, sink)
-		defer func() {
-			if err := sink.Err(); err != nil {
-				log.Printf("event stream: %v", err)
-			}
-		}()
+	}
+	// fatalf flushes the event sink before exiting, so the stream up
+	// to the failure survives for offline analysis.
+	fatalf := func(format string, args ...any) {
+		if sink != nil {
+			_ = sink.Close()
+		}
+		log.Fatalf(format, args...)
 	}
 
 	var rep *conformance.Report
@@ -102,7 +106,7 @@ func main() {
 		if base == "" {
 			stop, addr, err := startLocalService()
 			if err != nil {
-				log.Fatal(err)
+				fatalf("%v", err)
 			}
 			defer stop()
 			base = addr
@@ -115,10 +119,15 @@ func main() {
 	if *jsonOut != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
+		}
+	}
+	if sink != nil {
+		if err := sink.Close(); err != nil {
+			log.Fatalf("writing %s: %v", *events, err)
 		}
 	}
 

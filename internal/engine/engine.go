@@ -23,9 +23,10 @@
 //     unconditional entries, assumption clearing, unification and
 //     most-specific pruning, and the history update.
 //
-// ProcessPeriod composes the three in order and emits the period
-// envelope events. Front-ends (internal/learner's Learn and Online)
-// are thin wrappers that own result assembly and verification.
+// ProcessPeriod composes the three in order and closes the period with
+// a period_end event carrying its counters. Front-ends
+// (internal/learner's Learn and Online) are thin wrappers that own
+// result assembly and verification.
 //
 // # Sequential by design
 //
@@ -196,19 +197,23 @@ type Engine struct {
 	order     []int
 	drop      []bool
 	asmBits   []uint64
+
+	// subsumed counts the hypotheses the current period's in-period
+	// subsumption dropped, for the period_end event. It is not a
+	// Stats field: Stats is checkpointed, this is per-period only.
+	subsumed int
 }
 
 // newEngine returns an engine over ts and cfg with no working set
 // yet; New and Restore fill in the session state.
 func newEngine(ts *depfunc.TaskSet, cfg Config) *Engine {
 	e := &Engine{ts: ts, cfg: cfg}
-	e.wl = workList{bound: cfg.Bound, stats: &e.stats, obsv: cfg.Observer}
+	e.wl = workList{bound: cfg.Bound, stats: &e.stats}
 	return e
 }
 
 // New starts an engine session over the task set: the working set is
-// {d⊥}. It announces the session to the observer with an EngineStart
-// event carrying the bound.
+// {d⊥}.
 func New(ts *depfunc.TaskSet, cfg Config) *Engine {
 	e := newEngine(ts, cfg)
 	bottom := hypothesis.Bottom(ts)
@@ -219,9 +224,6 @@ func New(ts *depfunc.TaskSet, cfg Config) *Engine {
 	e.cur = []*hypothesis.Hypothesis{bottom}
 	e.stats.Peak = 1
 	e.resetDeltaBase()
-	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Bound: cfg.Bound})
-	}
 	return e
 }
 
@@ -239,14 +241,13 @@ func (e *Engine) Working() []*hypothesis.Hypothesis { return e.cur }
 func (e *Engine) WorkingSetSize() int { return len(e.cur) }
 
 // ProcessPeriod consumes one instance: the candidate, generalize and
-// postprocess stages in order, wrapped in the period envelope events.
-// On error the engine's working set is no longer a consistent prefix
-// of the instance stream; the caller owns making the session sticky.
+// postprocess stages in order, closed by a period_end event carrying
+// the period's counters. On error the engine's working set is no
+// longer a consistent prefix of the instance stream; the caller owns
+// making the session sticky.
 func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	obsv := e.cfg.Observer
-	if obsv != nil {
-		obsv.OnPeriodStart(obs.PeriodStart{Period: p.Index, Messages: len(p.Msgs)})
-	}
+	children, merges := e.stats.Children, e.stats.Merges
 	var pre *depfunc.DepFunc
 	if e.cfg.OnPeriodVerify != nil {
 		pre = e.lub()
@@ -270,6 +271,10 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 		// weight, so the weight range is at the ends.
 		obsv.OnPeriodEnd(obs.PeriodEnd{
 			Period:      p.Index,
+			Messages:    len(p.Msgs),
+			Children:    e.stats.Children - children,
+			Merges:      e.stats.Merges - merges,
+			Subsumed:    e.subsumed,
 			Live:        len(e.cur),
 			Dropped:     dropped,
 			WeightMin:   e.cur[0].Weight(),
@@ -318,6 +323,7 @@ func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, []map[d
 func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[depfunc.Pair]bool) error {
 	obsv := e.cfg.Observer
 	sp := obs.StartSpan(obsv, obs.PhaseGeneralize)
+	e.subsumed = 0
 	cur := e.cur
 	for mi := range p.Msgs {
 		next, err := e.generalizeMessage(cur, cands[mi], p.Index, mi, p.Msgs[mi].ID)
@@ -337,7 +343,7 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 		}
 		cur = e.forgetDeadAssumptions(next, live[mi+1])
 		if e.cfg.Bound <= 0 {
-			cur = e.subsume(cur, p.Index)
+			cur = e.subsume(cur)
 		}
 		e.stats.Messages++
 		e.stats.Candidates += len(cands[mi])
@@ -371,7 +377,7 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 	}
 	e.stats.Relaxations += relaxed
 	before := len(e.cur)
-	e.cur = e.pruneMostSpecific(e.cur, p.Index)
+	e.cur = e.pruneMostSpecific(e.cur)
 	// Every surviving assumption list was just cleared and no other
 	// holder outlives the period, so the cons cells can recycle
 	// wholesale. The arena keeps at most one spare header per
@@ -424,11 +430,6 @@ func (e *Engine) generalizeMessage(cur []*hypothesis.Hypothesis, pairs []depfunc
 				continue
 			}
 			e.stats.Children++
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnHypothesisSpawned(obs.HypothesisSpawned{
-					Period: period, Index: msg, Weight: c.Weight(),
-				})
-			}
 			wl.add(c)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
 
@@ -40,7 +39,7 @@ func workingKeys(e *Engine) []string {
 
 // TestStageComposition: driving the three stages by hand produces the
 // same working set as ProcessPeriod — the composed method adds only
-// the period envelope, no hidden computation.
+// the period_end event, no hidden computation.
 func TestStageComposition(t *testing.T) {
 	tr := trace.PaperFigure2()
 	whole := runEngine(t, tr, Config{})
@@ -63,21 +62,6 @@ func TestStageComposition(t *testing.T) {
 	}
 	if !reflect.DeepEqual(whole.Stats(), manual.Stats()) {
 		t.Errorf("stats diverge:\n%+v\n%+v", whole.Stats(), manual.Stats())
-	}
-}
-
-// TestEngineStartEvent: New announces the session with the configured
-// bound.
-func TestEngineStartEvent(t *testing.T) {
-	ts, _ := depfunc.NewTaskSet([]string{"a", "b"})
-	rec := obs.NewRecorder()
-	New(ts, Config{Bound: 7, Observer: rec})
-	evs := rec.OfKind("engine_start")
-	if len(evs) != 1 {
-		t.Fatalf("engine_start events = %d", len(evs))
-	}
-	if e := evs[0].(obs.EngineStart); e.Bound != 7 {
-		t.Errorf("engine_start = %+v, want bound 7", e)
 	}
 }
 

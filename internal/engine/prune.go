@@ -1,15 +1,10 @@
 package engine
 
-import (
-	"github.com/blackbox-rt/modelgen/internal/hypothesis"
-	"github.com/blackbox-rt/modelgen/internal/obs"
-)
+import "github.com/blackbox-rt/modelgen/internal/hypothesis"
 
 // pruneMostSpecific unifies equal hypotheses and removes redundant
 // ones: h is redundant iff some other hypothesis is strictly more
-// specific (Section 3.1 post-processing). Removals are reported to the
-// observer, first every "duplicate" in input order, then every
-// "redundant" in ascending weight. The survivors come back in
+// specific (Section 3.1 post-processing). The survivors come back in
 // ascending weight (stable within a weight), compacted into hs's
 // backing array; the rest of that array is cleared so that nothing
 // pruned stays reachable through it.
@@ -23,18 +18,13 @@ import (
 // lighter dominator, and following that chain ends at a survivor,
 // which is ⊑ j ⊑ h. A strictly lighter function cannot equal h, so
 // the subset test alone decides strictness.
-func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*hypothesis.Hypothesis {
-	obsv := e.cfg.Observer
+func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
 	seen := &e.seen
 	seen.Reset()
 	uniq := hs[:0]
 	for _, h := range hs {
 		if !seen.Insert(h) {
 			uniq = append(uniq, h)
-		} else if obsv != nil {
-			obsv.OnHypothesisPruned(obs.HypothesisPruned{
-				Period: period, Reason: "duplicate", Weight: h.Weight(),
-			})
 		}
 	}
 	sorted := e.sortByWeight(uniq)
@@ -48,11 +38,6 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 			w, lighter = h.Weight(), len(out)
 		}
 		if fr.Covers(&h.D, nil, lighter) {
-			if obsv != nil {
-				obsv.OnHypothesisPruned(obs.HypothesisPruned{
-					Period: period, Reason: "redundant", Weight: h.Weight(),
-				})
-			}
 			continue
 		}
 		fr.Add(&h.D, nil)
@@ -69,8 +54,8 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 // become something at least as specific, so the period-end prune would
 // remove or unify h2's descendants anyway (THEORY.md §3a). Survivors
 // keep their input order, compacted into hs's backing array with the
-// tail cleared; each dropped hypothesis is reported as "subsumed", in
-// input order, and released into the engine's arena.
+// tail cleared; each dropped hypothesis is counted in e.subsumed and
+// released into the engine's arena.
 //
 // Dedup has unified equal states, so a dominator is strictly lighter,
 // or equally heavy with strictly fewer assumptions: it comes strictly
@@ -81,7 +66,7 @@ func (e *Engine) pruneMostSpecific(hs []*hypothesis.Hypothesis, period int) []*h
 // transitivity. One frontier row per survivor holds its packed lanes
 // followed by its assumption bitset, so one word-wise subset test
 // decides both halves of the rule.
-func (e *Engine) subsume(hs []*hypothesis.Hypothesis, period int) []*hypothesis.Hypothesis {
+func (e *Engine) subsume(hs []*hypothesis.Hypothesis) []*hypothesis.Hypothesis {
 	if len(hs) < 2 {
 		return hs
 	}
@@ -133,18 +118,13 @@ func (e *Engine) subsume(hs []*hypothesis.Hypothesis, period int) []*hypothesis.
 	if kept == len(hs) {
 		return hs
 	}
-	obsv := e.cfg.Observer
+	e.subsumed += len(hs) - kept
 	ar := &e.arena
 	out := hs[:0]
 	for i, h := range hs {
 		if !drop[i] {
 			out = append(out, h)
 			continue
-		}
-		if obsv != nil {
-			obsv.OnHypothesisPruned(obs.HypothesisPruned{
-				Period: period, Reason: "subsumed", Weight: h.Weight(),
-			})
 		}
 		// Referenced by nothing but the dedup set, which no later
 		// equality check consults before its next Reset.

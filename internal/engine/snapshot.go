@@ -5,7 +5,6 @@ import (
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // State is a deep-copied snapshot of an engine session at a period
@@ -81,8 +80,5 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 		e.stats.Peak = len(e.cur)
 	}
 	e.resetDeltaBase()
-	if cfg.Observer != nil {
-		cfg.Observer.OnEngineStart(obs.EngineStart{Bound: cfg.Bound})
-	}
 	return e, nil
 }

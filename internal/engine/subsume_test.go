@@ -9,7 +9,6 @@ import (
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
 	"github.com/blackbox-rt/modelgen/internal/lattice"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // assumedWithin reports whether every pool pair h1 assumed is assumed
@@ -105,8 +104,8 @@ func subsumeInput(rng *rand.Rand, ts *depfunc.TaskSet, size int) ([]*hypothesis.
 // and the all-pairs reference over random working sets on assumption
 // bitsets of one, two and six words (7, 9 and 18 tasks), through one
 // engine reused message after message. Both must keep the same
-// hypotheses in input order, and the engine must report one "subsumed"
-// event per drop, in input order. Dropped hypotheses go back to the
+// hypotheses in input order, and the engine's per-period subsumed
+// counter must grow by the reference's drop count. Dropped hypotheses go back to the
 // arena; the survivors, some of which share their matrix with a
 // dropped alias, must keep their state, and the slots past the
 // survivors must be cleared.
@@ -118,21 +117,18 @@ func TestSubsumeMatchesAllPairsReference(t *testing.T) {
 		}
 		ts := depfunc.MustTaskSet(names...)
 		rng := rand.New(rand.NewSource(int64(n)))
-		rec := obs.NewRecorder()
-		e := newEngine(ts, Config{Observer: rec})
+		e := newEngine(ts, Config{})
 		var drops, equalD, nestedEqualD, incomparableEqualD int
 		for msg := 0; msg < 60; msg++ {
 			hs, pool := subsumeInput(rng, ts, 2+rng.Intn(200))
 			dropped := allPairsSubsume(hs, pool)
 			var want []*hypothesis.Hypothesis
-			var wantEv []obs.Event
 			for i, h := range hs {
 				if !dropped[i] {
 					want = append(want, h)
-				} else {
-					wantEv = append(wantEv, obs.HypothesisPruned{Period: msg, Reason: "subsumed", Weight: h.Weight()})
 				}
 			}
+			wantDrops := len(hs) - len(want)
 			for i, a := range hs {
 				for _, b := range hs[i+1:] {
 					if !a.D.Equal(&b.D) {
@@ -153,14 +149,14 @@ func TestSubsumeMatchesAllPairsReference(t *testing.T) {
 			}
 
 			in := append([]*hypothesis.Hypothesis(nil), hs...)
-			before := len(prunedEvents(rec))
-			got := e.subsume(in, msg)
+			before := e.subsumed
+			got := e.subsume(in)
 
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d message %d: kept %d, reference kept %d, or the order differs", n, msg, len(got), len(want))
 			}
-			if ev := prunedEvents(rec)[before:]; !reflect.DeepEqual(ev, wantEv) && len(ev)+len(wantEv) > 0 {
-				t.Fatalf("n=%d message %d: events differ:\n got %v\nwant %v", n, msg, ev, wantEv)
+			if got := e.subsumed - before; got != wantDrops {
+				t.Fatalf("n=%d message %d: subsumed counter grew by %d, reference dropped %d", n, msg, got, wantDrops)
 			}
 			for _, h := range got {
 				if h.Key() != keys[h] {
@@ -172,7 +168,7 @@ func TestSubsumeMatchesAllPairsReference(t *testing.T) {
 					t.Fatalf("n=%d message %d: slot %d past the survivors still holds a hypothesis", n, msg, len(got)+i)
 				}
 			}
-			drops += len(wantEv)
+			drops += wantDrops
 		}
 		// The premise: the inputs drop hypotheses, and hold equal
 		// functions under both nested and incomparable assumption
@@ -202,10 +198,10 @@ func TestSubsumeKeepsIncomparableAssumptions(t *testing.T) {
 	forgot = forgot.Assume(bc, lattice.Fwd, lattice.Bwd, ctx)
 	both := spec.Assume(bc, lattice.Fwd, lattice.Bwd, ctx)
 	e := newEngine(ts, Config{})
-	if got := e.subsume([]*hypothesis.Hypothesis{forgot, spec}, 0); len(got) != 2 {
+	if got := e.subsume([]*hypothesis.Hypothesis{forgot, spec}); len(got) != 2 {
 		t.Fatalf("kept %d; asm {ab} ⊄ {bc}, so both must stay", len(got))
 	}
-	if got := e.subsume([]*hypothesis.Hypothesis{both, spec}, 0); len(got) != 1 || got[0] != spec {
+	if got := e.subsume([]*hypothesis.Hypothesis{both, spec}); len(got) != 1 || got[0] != spec {
 		t.Fatalf("kept %d; want only the subsuming hypothesis", len(got))
 	}
 }

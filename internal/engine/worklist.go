@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // workList is the engine's working collection of hypotheses for one
@@ -25,7 +24,6 @@ import (
 type workList struct {
 	bound int
 	stats *Stats
-	obsv  obs.Observer
 	ctx   hypothesis.StepCtx
 
 	// items collects the unbounded (exact) mode's children.
@@ -96,12 +94,6 @@ func (wl *workList) add(h *hypothesis.Hypothesis) {
 		merged := a.Merge(b, wl.ctx)
 		wl.retired = append(wl.retired, a, b)
 		wl.stats.Merges++
-		if wl.obsv != nil {
-			wl.obsv.OnHypothesisMerged(obs.HypothesisMerged{
-				Period: wl.ctx.Period, Index: wl.ctx.Msg,
-				WeightA: a.Weight(), WeightB: b.Weight(), WeightMerged: merged.Weight(),
-			})
-		}
 		wl.push(merged)
 	}
 }

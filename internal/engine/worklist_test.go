@@ -9,20 +9,20 @@ import (
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
 	"github.com/blackbox-rt/modelgen/internal/lattice"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // sortedWorkList is the reference implementation of the bounded
 // worklist: a slice kept sorted by ascending weight, inserting after
 // every element of equal weight, merging the two front elements
-// whenever the bound overflows. The bucket queue must reproduce its
-// merge sequence and output order exactly.
+// whenever the bound overflows and recording them in retired. The
+// bucket queue must reproduce its merge sequence and output order
+// exactly.
 type sortedWorkList struct {
-	bound int
-	items []*hypothesis.Hypothesis
-	stats *Stats
-	obsv  obs.Observer
-	ctx   hypothesis.StepCtx
+	bound   int
+	items   []*hypothesis.Hypothesis
+	retired []*hypothesis.Hypothesis
+	stats   *Stats
+	ctx     hypothesis.StepCtx
 }
 
 func (wl *sortedWorkList) add(h *hypothesis.Hypothesis) {
@@ -31,11 +31,8 @@ func (wl *sortedWorkList) add(h *hypothesis.Hypothesis) {
 		a, b := wl.items[0], wl.items[1]
 		merged := a.Merge(b, wl.ctx)
 		wl.items = wl.items[2:]
+		wl.retired = append(wl.retired, a, b)
 		wl.stats.Merges++
-		wl.obsv.OnHypothesisMerged(obs.HypothesisMerged{
-			Period: wl.ctx.Period, Index: wl.ctx.Msg,
-			WeightA: a.Weight(), WeightB: b.Weight(), WeightMerged: merged.Weight(),
-		})
 		wl.insert(merged)
 	}
 }
@@ -78,8 +75,8 @@ func stateKeys(hs []*hypothesis.Hypothesis) []string {
 // TestWorkListMatchesSortedReference drives the bucket queue and the
 // sorted-slice reference side by side over random weights with many
 // ties, several messages in a row on one reused bucket queue, and
-// checks that both emit the same merge events and end in the same
-// order. Every message also offers a child lighter than everything
+// checks that both merge the same operand pairs in the same order and
+// end in the same order. Every message also offers a child lighter than everything
 // already queued, which must land in front.
 func TestWorkListMatchesSortedReference(t *testing.T) {
 	ts := depfunc.MustTaskSet("a", "b", "c", "d", "e")
@@ -91,11 +88,8 @@ func TestWorkListMatchesSortedReference(t *testing.T) {
 		bucket.bound = bound
 		ctx := hypothesis.StepCtx{Period: 1, Msg: msg}
 		var rstats Stats
-		rrec := obs.NewRecorder()
-		ref := &sortedWorkList{bound: bound, stats: &rstats, obsv: rrec, ctx: ctx}
+		ref := &sortedWorkList{bound: bound, stats: &rstats, ctx: ctx}
 		bstats.Merges = 0
-		brec := obs.NewRecorder()
-		bucket.obsv = brec
 
 		children := make([]*hypothesis.Hypothesis, 20+rng.Intn(60))
 		for i := range children {
@@ -126,8 +120,8 @@ func TestWorkListMatchesSortedReference(t *testing.T) {
 		if bstats.Merges != rstats.Merges {
 			t.Fatalf("message %d: merges %d, reference %d", msg, bstats.Merges, rstats.Merges)
 		}
-		if !reflect.DeepEqual(brec.OfKind("hypothesis_merged"), rrec.OfKind("hypothesis_merged")) {
-			t.Fatalf("message %d: merge event sequences differ", msg)
+		if g, w := stateKeys(bucket.retired), stateKeys(ref.retired); !reflect.DeepEqual(g, w) {
+			t.Fatalf("message %d: merge operand sequences differ:\n got %v\nwant %v", msg, g, w)
 		}
 		if g, w := stateKeys(got), stateKeys(ref.items); !reflect.DeepEqual(g, w) {
 			t.Fatalf("message %d: output order differs:\n got %v\nwant %v", msg, g, w)

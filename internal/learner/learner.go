@@ -111,13 +111,13 @@ type Options struct {
 	// stays bounded.
 	PeriodLiveCap int
 
-	// Observer, when non-nil, receives the structured run-trace: the
-	// session announcement (engine_start), period boundaries,
-	// per-message candidate fan-out, hypothesis spawn/merge/prune
-	// events, and phase timing spans. Every emit site is nil-guarded,
-	// so a nil Observer adds no allocations to the hot path (verified
-	// by TestNopObserverZeroAlloc). Use obs.NewMulti to attach
-	// several sinks at once.
+	// Observer, when non-nil, receives the structured run-trace:
+	// per-message candidate fan-out and live counts, one period_end
+	// per period with its spawn/merge/subsume/prune counters, and
+	// phase timing spans. Every emit site is nil-guarded, so a nil
+	// Observer adds no allocations to the hot path (verified by
+	// TestNopObserverZeroAlloc). Use obs.NewMulti to attach several
+	// sinks at once.
 	Observer obs.Observer
 
 	// Provenance enables the per-hypothesis audit trail: every

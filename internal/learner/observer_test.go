@@ -4,27 +4,23 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/blackbox-rt/modelgen/internal/depfunc"
+	"github.com/blackbox-rt/modelgen/internal/casestudy"
 	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
 
-// collapse reduces an event stream to its kind sequence with runs of
-// equal kinds collapsed to one entry — the stable "shape" of a run
-// that does not depend on per-message fan-out counts.
-func collapse(kinds []string) []string {
-	var out []string
-	for _, k := range kinds {
-		if len(out) == 0 || out[len(out)-1] != k {
-			out = append(out, k)
-		}
+// periodEnds returns the period_end events a recorder captured.
+func periodEnds(rec *obs.Recorder) []obs.PeriodEnd {
+	var out []obs.PeriodEnd
+	for _, e := range rec.OfKind("period_end") {
+		out = append(out, e.(obs.PeriodEnd))
 	}
 	return out
 }
 
 // TestObserverEventSequenceExact pins the structured run-trace of the
 // exact algorithm on the paper's Figure 2 trace: the per-period
-// envelope, the per-event payloads, and their agreement with
+// sequence, the per-event payloads, and their agreement with
 // Result.Stats.
 func TestObserverEventSequenceExact(t *testing.T) {
 	tr := trace.PaperFigure2()
@@ -34,61 +30,47 @@ func TestObserverEventSequenceExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The collapsed shape of the run: each period opens with
-	// period_start and the candidates span, alternates spawn-bursts
-	// with message_processed (one burst per message: the exact
-	// algorithm never merges), closes the generalize span, may prune
-	// at the period end, closes the postprocess span and then the
-	// period with period_end; the run closes with run_end. In periods
-	// without period-end pruning the generalize and postprocess spans
-	// are adjacent and collapse into one "span" entry. Inside the
-	// period the exact algorithm drops subsumed hypotheses after each
-	// message, before message_processed. Period 1 of the paper trace
-	// prunes nothing; in periods 2 and 3 every message subsumes, which
-	// leaves the period-end prune nothing to remove.
-	want := []string{
-		// The session opens with the engine announcement.
-		"engine_start",
-		// period 0: 2 messages.
-		"period_start", "span",
-		"hypothesis_spawned", "message_processed",
-		"hypothesis_spawned", "message_processed",
-		"span", "period_end",
-		// period 1: 2 messages, in-period subsumption kicks in.
-		"period_start", "span",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"span", "period_end",
-		// period 2: 4 messages.
-		"period_start", "span",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"hypothesis_spawned", "hypothesis_pruned", "message_processed",
-		"span", "period_end",
-		"run_end",
+	// Each period closes the candidates span, reports every message,
+	// closes the generalize and postprocess spans and then the period
+	// with period_end; the run closes with run_end. The paper trace
+	// has 2, 2 and 4 messages per period.
+	period := func(msgs int) []string {
+		out := []string{"span"}
+		for range msgs {
+			out = append(out, "message_processed")
+		}
+		return append(out, "span", "span", "period_end")
 	}
-	if got := collapse(rec.Kinds()); !reflect.DeepEqual(got, want) {
-		t.Errorf("collapsed event sequence:\n got %v\nwant %v", got, want)
+	var want []string
+	for _, msgs := range []int{2, 2, 4} {
+		want = append(want, period(msgs)...)
+	}
+	want = append(want, "run_end")
+	if got := rec.Kinds(); !reflect.DeepEqual(got, want) {
+		t.Errorf("event sequence:\n got %v\nwant %v", got, want)
 	}
 
-	// Event counts must agree with Stats.
-	if n := rec.Count("hypothesis_spawned"); n != res.Stats.Children {
-		t.Errorf("spawned events = %d, Stats.Children = %d", n, res.Stats.Children)
-	}
-	if n := rec.Count("message_processed"); n != res.Stats.Messages {
-		t.Errorf("message events = %d, Stats.Messages = %d", n, res.Stats.Messages)
-	}
-	if n := rec.Count("period_start"); n != res.Stats.Periods {
-		t.Errorf("period_start events = %d, Stats.Periods = %d", n, res.Stats.Periods)
-	}
-	if n := rec.Count("hypothesis_merged"); n != 0 {
-		t.Errorf("exact run emitted %d merge events", n)
-	}
-	for _, e := range rec.OfKind("hypothesis_pruned") {
-		if p := e.(obs.HypothesisPruned); p.Reason != "subsumed" {
-			t.Errorf("pruned event %+v: want reason \"subsumed\"", p)
+	// The period counters must sum to Stats. The exact algorithm
+	// never merges. Period 0 of the paper trace subsumes nothing; in
+	// periods 1 and 2 messages subsume, which leaves the period-end
+	// prune nothing to remove.
+	var msgs, children int
+	for i, pe := range periodEnds(rec) {
+		msgs += pe.Messages
+		children += pe.Children
+		if pe.Merges != 0 {
+			t.Errorf("period %d: exact run merged %d times", i, pe.Merges)
 		}
+		if subsumes := pe.Subsumed > 0; subsumes != (i > 0) || (i > 0 && pe.Dropped != 0) {
+			t.Errorf("period %d: subsumed %d, dropped %d", i, pe.Subsumed, pe.Dropped)
+		}
+	}
+	if children != res.Stats.Children {
+		t.Errorf("period_end children sum to %d, Stats.Children = %d", children, res.Stats.Children)
+	}
+	if msgs != res.Stats.Messages || rec.Count("message_processed") != res.Stats.Messages {
+		t.Errorf("period_end messages sum to %d, %d message events, Stats.Messages = %d",
+			msgs, rec.Count("message_processed"), res.Stats.Messages)
 	}
 
 	// Per-message payloads: candidate fan-out sums to Stats.Candidates
@@ -140,9 +122,9 @@ func TestObserverEventSequenceExact(t *testing.T) {
 }
 
 // TestObserverEventsBounded checks the heuristic at b=2 on the paper
-// trace: bounded merging must happen and must be reported as
-// hypothesis_merged events that agree with Stats.Merges, and the
-// per-period live counts must respect the bound.
+// trace: bounded merging must happen and the period_end merge counts
+// must sum to Stats.Merges, and the per-period live counts must
+// respect the bound.
 func TestObserverEventsBounded(t *testing.T) {
 	tr := trace.PaperFigure2()
 	rec := obs.NewRecorder()
@@ -153,20 +135,18 @@ func TestObserverEventsBounded(t *testing.T) {
 	if res.Stats.Merges == 0 {
 		t.Fatal("bound 2 on the paper trace did not merge; the test premise is broken")
 	}
-	if n := rec.Count("hypothesis_merged"); n != res.Stats.Merges {
-		t.Errorf("merge events = %d, Stats.Merges = %d", n, res.Stats.Merges)
-	}
-	for _, e := range rec.OfKind("hypothesis_merged") {
-		m := e.(obs.HypothesisMerged)
-		if m.WeightMerged < m.WeightA || m.WeightMerged < m.WeightB {
-			t.Errorf("merge %+v: LUB weight below an operand", m)
-		}
-	}
-	for _, e := range rec.OfKind("period_end") {
-		pe := e.(obs.PeriodEnd)
+	merges := 0
+	for _, pe := range periodEnds(rec) {
+		merges += pe.Merges
 		if pe.Live > 2 {
 			t.Errorf("period %d: live = %d exceeds bound 2", pe.Period, pe.Live)
 		}
+		if pe.Subsumed != 0 {
+			t.Errorf("period %d: bounded run subsumed %d", pe.Period, pe.Subsumed)
+		}
+	}
+	if merges != res.Stats.Merges {
+		t.Errorf("period_end merges sum to %d, Stats.Merges = %d", merges, res.Stats.Merges)
 	}
 	// The observer must not change results: same run without one.
 	plain, err := Learn(trace.PaperFigure2(), Options{Bound: 2})
@@ -351,21 +331,51 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// Guard against accidental dependence on depfunc internals in the
-// events: weights reported by spawn events are real Definition-8
-// weights (non-negative, bounded by the all-BiMaybe table).
-func TestSpawnWeightsSane(t *testing.T) {
-	tr := trace.PaperFigure2()
-	rec := obs.NewRecorder()
-	if _, err := Learn(tr, Options{Observer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	ts, _ := depfunc.NewTaskSet(tr.Tasks)
-	maxW := 6 * ts.Len() * (ts.Len() - 1) / 2 // BiMaybe everywhere
-	for _, e := range rec.OfKind("hypothesis_spawned") {
-		w := e.(obs.HypothesisSpawned).Weight
-		if w < 0 || w > maxW {
-			t.Errorf("spawn weight %d outside [0,%d]", w, maxW)
-		}
+// TestMetricsObserverOnRealRuns attaches the metrics bridge to real
+// learning runs, exact and bounded, and checks that its counters
+// agree with Result.Stats and with the recorded period_end events.
+func TestMetricsObserverOnRealRuns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		opt  Options
+	}{
+		{"figure2-exact", trace.PaperFigure2(), Options{}},
+		{"figure2-b2", trace.PaperFigure2(), Options{Bound: 2}},
+		{"lite-b16", casestudy.MustLiteTrace(), Options{Bound: 16, Policy: casestudy.LitePolicy()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			rec := obs.NewRecorder()
+			c.opt.Observer = obs.NewMulti(rec, obs.NewMetricsObserver(reg))
+			res, err := Learn(c.tr, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned := 0
+			for _, pe := range periodEnds(rec) {
+				pruned += pe.Subsumed + pe.Dropped
+			}
+			snap := reg.Snapshot()
+			st := res.Stats
+			for name, want := range map[string]int{
+				obs.MetricPeriods:     st.Periods,
+				obs.MetricMessages:    st.Messages,
+				obs.MetricSpawned:     st.Children,
+				obs.MetricMerges:      st.Merges,
+				obs.MetricRelaxations: st.Relaxations,
+				obs.MetricPruned:      pruned,
+			} {
+				if got := snap.Value(name); got != int64(want) {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if c.opt.Bound > 0 && st.Merges == 0 {
+				t.Errorf("bound %d did not merge; the test premise is broken", c.opt.Bound)
+			}
+			if pruned == 0 {
+				t.Error("nothing was pruned; the test premise is broken")
+			}
+		})
 	}
 }

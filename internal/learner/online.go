@@ -26,11 +26,10 @@ import (
 // Options.RetainPeriods > 0; without retained periods Result fails
 // with ErrVerifyUnavailable rather than silently skipping the check.
 //
-// With Options.Observer set, NewOnline announces the session
-// (EngineStart) and AddPeriod emits the structured run-trace
-// (PeriodStart, MessageProcessed, hypothesis events, PeriodEnd); the
-// RunEnd event is only emitted by the batch Learn, since an
-// incremental session has no defined end.
+// With Options.Observer set, AddPeriod emits the structured run-trace
+// (MessageProcessed per message, PeriodEnd with the period's counters,
+// phase spans); the RunEnd event is only emitted by the batch Learn,
+// since an incremental session has no defined end.
 type Online struct {
 	eng *engine.Engine
 	opt Options

@@ -126,7 +126,7 @@ func NewMetricsObserver(reg *Registry) Observer {
 		relaxations:   reg.Counter(MetricRelaxations, "entries relaxed by end-of-period tests"),
 		runs:          reg.Counter(MetricRuns, "completed learning runs"),
 		provSteps:     reg.Counter(MetricProvSteps, "provenance steps emitted for winning hypotheses"),
-		live:          reg.Gauge(MetricLive, "live hypotheses after the last period"),
+		live:          reg.Gauge(MetricLive, "live hypotheses after the last message or period end"),
 		peak:          reg.Gauge(MetricPeak, "peak working-set size"),
 		candidates:    reg.Histogram(MetricCandidates, "timing-feasible candidate pairs per message", CandidateBuckets),
 		livePerPeriod: reg.Histogram(MetricLivePerPeriod, "live hypotheses at each period end", LiveBuckets),
@@ -136,10 +136,6 @@ func NewMetricsObserver(reg *Registry) Observer {
 	}
 }
 
-func (m *metricsObserver) OnEngineStart(EngineStart) {}
-
-func (m *metricsObserver) OnPeriodStart(PeriodStart) {}
-
 func (m *metricsObserver) OnMessageProcessed(e MessageProcessed) {
 	m.messages.Inc()
 	m.candidates.Observe(float64(e.Candidates))
@@ -147,12 +143,11 @@ func (m *metricsObserver) OnMessageProcessed(e MessageProcessed) {
 	m.peak.SetMax(int64(e.Live))
 }
 
-func (m *metricsObserver) OnHypothesisSpawned(HypothesisSpawned) { m.spawned.Inc() }
-func (m *metricsObserver) OnHypothesisMerged(HypothesisMerged)   { m.merges.Inc() }
-func (m *metricsObserver) OnHypothesisPruned(HypothesisPruned)   { m.pruned.Inc() }
-
 func (m *metricsObserver) OnPeriodEnd(e PeriodEnd) {
 	m.periods.Inc()
+	m.spawned.Add(int64(e.Children))
+	m.merges.Add(int64(e.Merges))
+	m.pruned.Add(int64(e.Subsumed + e.Dropped))
 	m.relaxations.Add(int64(e.Relaxations))
 	m.live.Set(int64(e.Live))
 	m.peak.SetMax(int64(e.Live))

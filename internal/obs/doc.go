@@ -17,56 +17,58 @@
 // kind string used by the JSONL sink (one JSON object per line, the
 // kind in the "event" field):
 //
-//	period_start        {period, messages}
 //	message_processed   {period, index, id, candidates, live}
-//	hypothesis_spawned  {period, index, weight}
-//	hypothesis_merged   {period, index, weight_a, weight_b, weight_merged}
-//	hypothesis_pruned   {period, reason, weight}
-//	period_end          {period, live, dropped, weight_min, weight_max, relaxations}
+//	period_end          {period, messages, children, merges, subsumed, live, dropped, weight_min, weight_max, relaxations}
 //	run_end             {periods, messages, final, peak, merges, elapsed_ns}
 //	pipeline            {stage, name, value, label?}
 //	provenance          {period, index, msg?, sender?, receiver?, task1, task2, from, to, action}
 //	span                {phase, elapsed_ns}
 //
-// The learner emits the first seven; the surrounding pipeline stages
-// (trace parsing, simulation, reachability, mode analysis) emit
-// generic pipeline events such as stage "trace" / name "events_read".
+// The learner emits the first three: one message_processed per
+// message occurrence, one period_end per period carrying that
+// period's counters, and one run_end per batch run. The trace
+// readers, the simulator and the conformance harness emit generic
+// pipeline events such as stage "trace" / name "events_read".
 // provenance events carry the derivation chain of the winning
 // hypothesis when provenance recording is enabled on the learner
 // (one event per generalization step, action "assume", "relax" or
 // "merge"). span events time the pipeline phases (simulate,
-// trace_parse, candidates, generalize, postprocess, verify — see
-// StartSpan), so CPU profiles can be cross-referenced with logical
-// phases.
+// trace_parse, candidates, generalize, postprocess, verify,
+// drift_verify — see StartSpan), so CPU profiles can be
+// cross-referenced with logical phases.
 //
 // # Metric names
 //
 // NewMetricsObserver bridges events into a Registry under these
-// names (histogram buckets in parentheses):
+// names (the feeding event, or the histogram buckets, in
+// parentheses):
 //
-//	modelgen_learner_periods_total              counter
-//	modelgen_learner_messages_total             counter
-//	modelgen_learner_hypotheses_spawned_total   counter
-//	modelgen_learner_hypotheses_pruned_total    counter
-//	modelgen_learner_merges_total               counter
-//	modelgen_learner_relaxations_total          counter
-//	modelgen_learner_live_hypotheses            gauge (last period_end)
-//	modelgen_learner_peak_hypotheses            gauge (maximum seen)
+//	modelgen_learner_periods_total              counter (period_end)
+//	modelgen_learner_messages_total             counter (message_processed)
+//	modelgen_learner_hypotheses_spawned_total   counter (period_end children)
+//	modelgen_learner_hypotheses_pruned_total    counter (period_end subsumed + dropped)
+//	modelgen_learner_merges_total               counter (period_end merges)
+//	modelgen_learner_relaxations_total          counter (period_end relaxations)
+//	modelgen_learner_live_hypotheses            gauge (live of the last message_processed or period_end)
+//	modelgen_learner_peak_hypotheses            gauge (maximum live seen)
 //	modelgen_learner_candidates_per_message     histogram (1,2,3,4,6,8,12,16,24,32,48,64)
 //	modelgen_learner_live_per_period            histogram (1,2,4,8,16,32,64,128,256)
-//	modelgen_learner_runs_total                 counter
+//	modelgen_learner_runs_total                 counter (run_end)
 //	modelgen_learner_run_seconds                histogram (5ms..10s, doubling)
 //	modelgen_learner_provenance_steps_total     counter, one per provenance event
-//	modelgen_<stage>_<name>_total               counter, one per pipeline event
-//	modelgen_phase_<phase>_seconds              histogram (100µs..10s), one per span phase
+//	modelgen_<stage>_<name>_total               counter, one per pipeline stage/name
+//	modelgen_phase_<phase>_seconds              histogram (1µs..10s), one per span phase
 //
-// modelgen_learner_candidates_per_message aggregates the per-message
-// candidate fan-out |A_m| — the driver of the O(m·b·t²) term of the
-// heuristic's runtime — which is otherwise only visible per-event.
+// The spawn, merge and prune counters advance once per period, so a
+// period that fails part-way (and emits no period_end) does not reach
+// them. modelgen_learner_candidates_per_message aggregates the
+// per-message candidate fan-out |A_m| — the driver of the O(m·b·t²)
+// term of the heuristic's runtime — which is otherwise only visible
+// per-event.
 //
 // RuntimeMetrics additionally publishes go_goroutines,
-// go_heap_alloc_bytes and go_gc_runs_total, refreshed on every
-// scrape.
+// go_heap_alloc_bytes, go_gc_runs_total and go_gc_pause_seconds_total,
+// refreshed on every scrape.
 //
 // # Exposition
 //

@@ -5,24 +5,10 @@ package obs
 // that observer calls never force heap allocation on the emitting
 // path.
 type Event interface {
-	// Kind returns the stable schema name of the event ("period_start",
-	// "hypothesis_merged", ...), used by the JSONL sink and the
-	// Recorder's filtering helpers.
+	// Kind returns the stable schema name of the event ("period_end",
+	// "span", ...), used by the JSONL sink and the Recorder's filtering
+	// helpers.
 	Kind() string
-}
-
-// EngineStart opens a learning session: the period-engine
-// configuration behind the run. Bound is the heuristic working-set
-// bound (0 = exact). Emitted once per engine before its first period,
-// by both the batch and the incremental front-ends.
-type EngineStart struct {
-	Bound int `json:"bound"`
-}
-
-// PeriodStart opens one period of a learning run.
-type PeriodStart struct {
-	Period   int `json:"period"`
-	Messages int `json:"messages"`
 }
 
 // MessageProcessed closes the generalization step for one message
@@ -37,43 +23,17 @@ type MessageProcessed struct {
 	Live       int    `json:"live"`
 }
 
-// HypothesisSpawned records one child hypothesis created by
-// generalization (duplicate children are not reported, matching
-// Stats.Children).
-type HypothesisSpawned struct {
-	Period int `json:"period"`
-	Index  int `json:"index"`
-	Weight int `json:"weight"`
-}
-
-// HypothesisMerged records one least-upper-bound merge of the two
-// lightest working hypotheses under the heuristic bound.
-type HypothesisMerged struct {
-	Period       int `json:"period"`
-	Index        int `json:"index"`
-	WeightA      int `json:"weight_a"`
-	WeightB      int `json:"weight_b"`
-	WeightMerged int `json:"weight_merged"`
-}
-
-// HypothesisPruned records one hypothesis removed by pruning. The
-// end-of-period post-processing reports reason "duplicate" (equal
-// dependency function) or "redundant" (a strictly more specific
-// hypothesis survives). The exact algorithm also prunes after every
-// message, before that message's MessageProcessed, with reason
-// "subsumed": another live hypothesis has a dependency function ⊑ this
-// one's and an assumption set ⊆ this one's.
-type HypothesisPruned struct {
-	Period int    `json:"period"`
-	Reason string `json:"reason"`
-	Weight int    `json:"weight"`
-}
-
-// PeriodEnd closes one period: Live surviving hypotheses, Dropped
-// removed by the end-of-period prune, and the weight range of the
-// survivors.
+// PeriodEnd closes one period with its counters: Messages processed,
+// Children created by generalization (duplicates excluded), bounded
+// Merges, hypotheses Subsumed after a message (exact mode only),
+// entries relaxed by the end-of-period tests, Dropped by the
+// end-of-period prune, and the Live survivors with their weight range.
 type PeriodEnd struct {
 	Period      int `json:"period"`
+	Messages    int `json:"messages"`
+	Children    int `json:"children"`
+	Merges      int `json:"merges"`
+	Subsumed    int `json:"subsumed"`
 	Live        int `json:"live"`
 	Dropped     int `json:"dropped"`
 	WeightMin   int `json:"weight_min"`
@@ -133,17 +93,12 @@ type SpanEnd struct {
 	ElapsedNS int64  `json:"elapsed_ns"`
 }
 
-func (EngineStart) Kind() string       { return "engine_start" }
-func (PeriodStart) Kind() string       { return "period_start" }
-func (MessageProcessed) Kind() string  { return "message_processed" }
-func (HypothesisSpawned) Kind() string { return "hypothesis_spawned" }
-func (HypothesisMerged) Kind() string  { return "hypothesis_merged" }
-func (HypothesisPruned) Kind() string  { return "hypothesis_pruned" }
-func (PeriodEnd) Kind() string         { return "period_end" }
-func (RunEnd) Kind() string            { return "run_end" }
-func (Pipeline) Kind() string          { return "pipeline" }
-func (Provenance) Kind() string        { return "provenance" }
-func (SpanEnd) Kind() string           { return "span" }
+func (MessageProcessed) Kind() string { return "message_processed" }
+func (PeriodEnd) Kind() string        { return "period_end" }
+func (RunEnd) Kind() string           { return "run_end" }
+func (Pipeline) Kind() string         { return "pipeline" }
+func (Provenance) Kind() string       { return "provenance" }
+func (SpanEnd) Kind() string          { return "span" }
 
 // Observer receives the typed events of a run. One method per event
 // type keeps the emitting path free of interface boxing: passing a
@@ -153,12 +108,7 @@ func (SpanEnd) Kind() string           { return "span" }
 // Implementations embed NopObserver to pick up no-op defaults for the
 // events they do not care about.
 type Observer interface {
-	OnEngineStart(EngineStart)
-	OnPeriodStart(PeriodStart)
 	OnMessageProcessed(MessageProcessed)
-	OnHypothesisSpawned(HypothesisSpawned)
-	OnHypothesisMerged(HypothesisMerged)
-	OnHypothesisPruned(HypothesisPruned)
 	OnPeriodEnd(PeriodEnd)
 	OnRunEnd(RunEnd)
 	OnPipeline(Pipeline)
@@ -170,17 +120,12 @@ type Observer interface {
 // partially.
 type NopObserver struct{}
 
-func (NopObserver) OnEngineStart(EngineStart)             {}
-func (NopObserver) OnPeriodStart(PeriodStart)             {}
-func (NopObserver) OnMessageProcessed(MessageProcessed)   {}
-func (NopObserver) OnHypothesisSpawned(HypothesisSpawned) {}
-func (NopObserver) OnHypothesisMerged(HypothesisMerged)   {}
-func (NopObserver) OnHypothesisPruned(HypothesisPruned)   {}
-func (NopObserver) OnPeriodEnd(PeriodEnd)                 {}
-func (NopObserver) OnRunEnd(RunEnd)                       {}
-func (NopObserver) OnPipeline(Pipeline)                   {}
-func (NopObserver) OnProvenance(Provenance)               {}
-func (NopObserver) OnSpan(SpanEnd)                        {}
+func (NopObserver) OnMessageProcessed(MessageProcessed) {}
+func (NopObserver) OnPeriodEnd(PeriodEnd)               {}
+func (NopObserver) OnRunEnd(RunEnd)                     {}
+func (NopObserver) OnPipeline(Pipeline)                 {}
+func (NopObserver) OnProvenance(Provenance)             {}
+func (NopObserver) OnSpan(SpanEnd)                      {}
 
 // Nop is the shared no-op observer.
 var Nop Observer = NopObserver{}
@@ -208,34 +153,9 @@ func NewMulti(os ...Observer) Observer {
 	return kept
 }
 
-func (m multi) OnEngineStart(e EngineStart) {
-	for _, o := range m {
-		o.OnEngineStart(e)
-	}
-}
-func (m multi) OnPeriodStart(e PeriodStart) {
-	for _, o := range m {
-		o.OnPeriodStart(e)
-	}
-}
 func (m multi) OnMessageProcessed(e MessageProcessed) {
 	for _, o := range m {
 		o.OnMessageProcessed(e)
-	}
-}
-func (m multi) OnHypothesisSpawned(e HypothesisSpawned) {
-	for _, o := range m {
-		o.OnHypothesisSpawned(e)
-	}
-}
-func (m multi) OnHypothesisMerged(e HypothesisMerged) {
-	for _, o := range m {
-		o.OnHypothesisMerged(e)
-	}
-}
-func (m multi) OnHypothesisPruned(e HypothesisPruned) {
-	for _, o := range m {
-		o.OnHypothesisPruned(e)
 	}
 }
 func (m multi) OnPeriodEnd(e PeriodEnd) {

@@ -56,17 +56,12 @@ func (s *JSONLSink) write(kind string, e any) {
 	_, s.err = s.w.Write(line)
 }
 
-func (s *JSONLSink) OnEngineStart(e EngineStart)             { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnPeriodStart(e PeriodStart)             { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnMessageProcessed(e MessageProcessed)   { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnHypothesisSpawned(e HypothesisSpawned) { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnHypothesisMerged(e HypothesisMerged)   { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnHypothesisPruned(e HypothesisPruned)   { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnPeriodEnd(e PeriodEnd)                 { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnRunEnd(e RunEnd)                       { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnPipeline(e Pipeline)                   { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnProvenance(e Provenance)               { s.write(e.Kind(), e) }
-func (s *JSONLSink) OnSpan(e SpanEnd)                        { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnMessageProcessed(e MessageProcessed) { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnPeriodEnd(e PeriodEnd)               { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnRunEnd(e RunEnd)                     { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnPipeline(e Pipeline)                 { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnProvenance(e Provenance)             { s.write(e.Kind(), e) }
+func (s *JSONLSink) OnSpan(e SpanEnd)                      { s.write(e.Kind(), e) }
 
 // ParseJSONL decodes a JSONL event stream produced by JSONLSink back
 // into typed events. Unknown "event" kinds are skipped (forward
@@ -90,18 +85,8 @@ func ParseJSONL(r io.Reader) ([]Event, error) {
 			err error
 		)
 		switch raw.Event {
-		case "engine_start":
-			e, err = decodeEvent[EngineStart](msg)
-		case "period_start":
-			e, err = decodeEvent[PeriodStart](msg)
 		case "message_processed":
 			e, err = decodeEvent[MessageProcessed](msg)
-		case "hypothesis_spawned":
-			e, err = decodeEvent[HypothesisSpawned](msg)
-		case "hypothesis_merged":
-			e, err = decodeEvent[HypothesisMerged](msg)
-		case "hypothesis_pruned":
-			e, err = decodeEvent[HypothesisPruned](msg)
 		case "period_end":
 			e, err = decodeEvent[PeriodEnd](msg)
 		case "run_end":

@@ -24,14 +24,10 @@ func httpGet(url string) (string, error) {
 
 // emitAll drives one of every event through an observer.
 func emitAll(o Observer) {
-	o.OnEngineStart(EngineStart{Bound: 8})
-	o.OnPeriodStart(PeriodStart{Period: 0, Messages: 2})
-	o.OnHypothesisSpawned(HypothesisSpawned{Period: 0, Index: 0, Weight: 2})
 	o.OnMessageProcessed(MessageProcessed{Period: 0, Index: 0, ID: "m1", Candidates: 2, Live: 2})
-	o.OnHypothesisMerged(HypothesisMerged{Period: 0, Index: 1, WeightA: 2, WeightB: 2, WeightMerged: 3})
 	o.OnMessageProcessed(MessageProcessed{Period: 0, Index: 1, ID: "m2", Candidates: 1, Live: 1})
-	o.OnHypothesisPruned(HypothesisPruned{Period: 0, Reason: "redundant", Weight: 5})
-	o.OnPeriodEnd(PeriodEnd{Period: 0, Live: 1, Dropped: 1, WeightMin: 3, WeightMax: 3})
+	o.OnPeriodEnd(PeriodEnd{Period: 0, Messages: 2, Children: 3, Merges: 1, Subsumed: 2,
+		Live: 1, Dropped: 1, WeightMin: 3, WeightMax: 3, Relaxations: 4})
 	o.OnRunEnd(RunEnd{Periods: 1, Messages: 2, Final: 1, Peak: 2, ElapsedNS: 1_000_000})
 	o.OnPipeline(Pipeline{Stage: "trace", Name: "events_read", Value: 12})
 	o.OnProvenance(Provenance{Period: 0, Index: 0, Msg: "m1", Sender: "t1", Receiver: "t4",
@@ -43,8 +39,7 @@ func TestRecorderOrderAndFilters(t *testing.T) {
 	r := NewRecorder()
 	emitAll(r)
 	wantKinds := []string{
-		"engine_start", "period_start", "hypothesis_spawned", "message_processed",
-		"hypothesis_merged", "message_processed", "hypothesis_pruned",
+		"message_processed", "message_processed",
 		"period_end", "run_end", "pipeline", "provenance", "span",
 	}
 	if got := r.Kinds(); !reflect.DeepEqual(got, wantKinds) {
@@ -57,8 +52,8 @@ func TestRecorderOrderAndFilters(t *testing.T) {
 	if ms[1].(MessageProcessed).ID != "m2" {
 		t.Errorf("second message event = %+v", ms[1])
 	}
-	if r.Len() != 12 {
-		t.Errorf("Len = %d, want 12", r.Len())
+	if r.Len() != 7 {
+		t.Errorf("Len = %d, want 7", r.Len())
 	}
 	r.Reset()
 	if r.Len() != 0 {
@@ -86,8 +81,8 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 			t.Errorf("line %d has no event field: %s", lines, sc.Text())
 		}
 	}
-	if lines != 12 {
-		t.Errorf("lines = %d, want 12", lines)
+	if lines != 7 {
+		t.Errorf("lines = %d, want 7", lines)
 	}
 	// And the typed parser reconstructs the same events a Recorder saw.
 	rec := NewRecorder()
@@ -143,8 +138,8 @@ func TestNewMulti(t *testing.T) {
 	r2 := NewRecorder()
 	m := NewMulti(r, r2)
 	emitAll(m)
-	if r.Len() != 12 || r2.Len() != 12 {
-		t.Errorf("fan-out lens = %d/%d, want 12/12", r.Len(), r2.Len())
+	if r.Len() != 7 || r2.Len() != 7 {
+		t.Errorf("fan-out lens = %d/%d, want 7/7", r.Len(), r2.Len())
 	}
 }
 
@@ -156,9 +151,10 @@ func TestMetricsObserverBridge(t *testing.T) {
 	checks := map[string]int64{
 		MetricPeriods:                      1,
 		MetricMessages:                     2,
-		MetricSpawned:                      1,
-		MetricPruned:                       1,
+		MetricSpawned:                      3,
+		MetricPruned:                       3, // subsumed + dropped
 		MetricMerges:                       1,
+		MetricRelaxations:                  4,
 		MetricRuns:                         1,
 		MetricLive:                         1,
 		MetricPeak:                         2,

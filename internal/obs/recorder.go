@@ -18,17 +18,12 @@ func (r *Recorder) record(e Event) {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) OnEngineStart(e EngineStart)             { r.record(e) }
-func (r *Recorder) OnPeriodStart(e PeriodStart)             { r.record(e) }
-func (r *Recorder) OnMessageProcessed(e MessageProcessed)   { r.record(e) }
-func (r *Recorder) OnHypothesisSpawned(e HypothesisSpawned) { r.record(e) }
-func (r *Recorder) OnHypothesisMerged(e HypothesisMerged)   { r.record(e) }
-func (r *Recorder) OnHypothesisPruned(e HypothesisPruned)   { r.record(e) }
-func (r *Recorder) OnPeriodEnd(e PeriodEnd)                 { r.record(e) }
-func (r *Recorder) OnRunEnd(e RunEnd)                       { r.record(e) }
-func (r *Recorder) OnPipeline(e Pipeline)                   { r.record(e) }
-func (r *Recorder) OnProvenance(e Provenance)               { r.record(e) }
-func (r *Recorder) OnSpan(e SpanEnd)                        { r.record(e) }
+func (r *Recorder) OnMessageProcessed(e MessageProcessed) { r.record(e) }
+func (r *Recorder) OnPeriodEnd(e PeriodEnd)               { r.record(e) }
+func (r *Recorder) OnRunEnd(e RunEnd)                     { r.record(e) }
+func (r *Recorder) OnPipeline(e Pipeline)                 { r.record(e) }
+func (r *Recorder) OnProvenance(e Provenance)             { r.record(e) }
+func (r *Recorder) OnSpan(e SpanEnd)                      { r.record(e) }
 
 // Events returns a copy of the captured events in emission order.
 func (r *Recorder) Events() []Event {

@@ -15,17 +15,12 @@ import (
 // a breaking change and must fail a test, not slip through.
 func TestEventKindStrings(t *testing.T) {
 	kinds := map[Event]string{
-		EngineStart{}:       "engine_start",
-		PeriodStart{}:       "period_start",
-		MessageProcessed{}:  "message_processed",
-		HypothesisSpawned{}: "hypothesis_spawned",
-		HypothesisMerged{}:  "hypothesis_merged",
-		HypothesisPruned{}:  "hypothesis_pruned",
-		PeriodEnd{}:         "period_end",
-		RunEnd{}:            "run_end",
-		Pipeline{}:          "pipeline",
-		Provenance{}:        "provenance",
-		SpanEnd{}:           "span",
+		MessageProcessed{}: "message_processed",
+		PeriodEnd{}:        "period_end",
+		RunEnd{}:           "run_end",
+		Pipeline{}:         "pipeline",
+		Provenance{}:       "provenance",
+		SpanEnd{}:          "span",
 	}
 	for e, want := range kinds {
 		if got := e.Kind(); got != want {
@@ -54,18 +49,8 @@ func TestEventKindStrings(t *testing.T) {
 // emitEvent dispatches a typed event through the Observer interface.
 func emitEvent(o Observer, e Event) {
 	switch e := e.(type) {
-	case EngineStart:
-		o.OnEngineStart(e)
-	case PeriodStart:
-		o.OnPeriodStart(e)
 	case MessageProcessed:
 		o.OnMessageProcessed(e)
-	case HypothesisSpawned:
-		o.OnHypothesisSpawned(e)
-	case HypothesisMerged:
-		o.OnHypothesisMerged(e)
-	case HypothesisPruned:
-		o.OnHypothesisPruned(e)
 	case PeriodEnd:
 		o.OnPeriodEnd(e)
 	case RunEnd:

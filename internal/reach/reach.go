@@ -26,7 +26,6 @@ import (
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/lattice"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
 // MaxTasks bounds the explicit-state exploration (states are uint32
@@ -67,12 +66,7 @@ type Result struct {
 // Explore counts the reachable completion states under the precedence
 // constraints extracted from d. It returns an error for task sets
 // larger than MaxTasks.
-func Explore(d *depfunc.DepFunc) (Result, error) { return ExploreObserved(d, nil) }
-
-// ExploreObserved is Explore with stage-"reach" observability: a
-// states_explored pipeline event carrying the number of reachable
-// states visited.
-func ExploreObserved(d *depfunc.DepFunc, o obs.Observer) (Result, error) {
+func Explore(d *depfunc.DepFunc) (Result, error) {
 	n := d.TaskSet().Len()
 	if n > MaxTasks {
 		return Result{}, fmt.Errorf("reach: %d tasks exceed the explicit-state limit of %d", n, MaxTasks)
@@ -100,9 +94,6 @@ func ExploreObserved(d *depfunc.DepFunc, o obs.Observer) (Result, error) {
 		}
 	}
 	baseline := 1 << uint(n)
-	if o != nil {
-		o.OnPipeline(obs.Pipeline{Stage: "reach", Name: "states_explored", Value: int64(len(seen))})
-	}
 	return Result{
 		Tasks:     n,
 		States:    len(seen),
@@ -116,31 +107,18 @@ func ExploreObserved(d *depfunc.DepFunc, o obs.Observer) (Result, error) {
 // completed task names) if so. The predicate receives the bitmask of
 // completed tasks; use the task set's Index to build queries.
 func Reachable(d *depfunc.DepFunc, pred func(state uint32) bool) (bool, []string, error) {
-	return ReachableObserved(d, pred, nil)
-}
-
-// ReachableObserved is Reachable with stage-"reach" observability: a
-// states_explored pipeline event carrying the number of states
-// visited before the search concluded.
-func ReachableObserved(d *depfunc.DepFunc, pred func(state uint32) bool, o obs.Observer) (bool, []string, error) {
 	n := d.TaskSet().Len()
 	if n > MaxTasks {
 		return false, nil, fmt.Errorf("reach: %d tasks exceed the explicit-state limit of %d", n, MaxTasks)
 	}
 	prec := Precedence(d)
 	seen := make(map[uint32]bool)
-	emit := func() {
-		if o != nil {
-			o.OnPipeline(obs.Pipeline{Stage: "reach", Name: "states_explored", Value: int64(len(seen))})
-		}
-	}
 	stack := []uint32{0}
 	seen[0] = true
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if pred(s) {
-			emit()
 			return true, maskToNames(d.TaskSet(), s), nil
 		}
 		for t := 0; t < n; t++ {
@@ -155,7 +133,6 @@ func ReachableObserved(d *depfunc.DepFunc, pred func(state uint32) bool, o obs.O
 			}
 		}
 	}
-	emit()
 	return false, nil, nil
 }
 

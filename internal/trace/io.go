@@ -144,22 +144,3 @@ func ReadObserved(r io.Reader, o obs.Observer) (tr *Trace, err error) {
 func ReadString(s string) (*Trace, error) {
 	return Read(strings.NewReader(s))
 }
-
-// FromEventsObserved assembles a trace like FromEvents and reports
-// stage-"trace" observability to o: events_read and
-// periods_segmented on success, malformed_lines (with the error as
-// label) on failure. A nil observer makes it identical to FromEvents.
-func FromEventsObserved(tasks []string, events []Event, o obs.Observer) (*Trace, error) {
-	sp := obs.StartSpan(o, obs.PhaseTraceParse)
-	tr, err := FromEvents(tasks, events)
-	sp.End()
-	if o != nil {
-		if err != nil {
-			o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "malformed_lines", Value: 1, Label: err.Error()})
-		} else {
-			o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "events_read", Value: int64(len(events))})
-			o.OnPipeline(obs.Pipeline{Stage: "trace", Name: "periods_segmented", Value: int64(len(tr.Periods))})
-		}
-	}
-	return tr, err
-}

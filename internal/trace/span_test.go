@@ -7,7 +7,7 @@ import (
 	"github.com/blackbox-rt/modelgen/internal/obs"
 )
 
-// The observed parsing entry points time themselves with a
+// The observed parsing entry point times itself with a
 // trace_parse span, so phase histograms cover the whole offline
 // pipeline, not just the learner.
 func TestReadObservedEmitsSpan(t *testing.T) {
@@ -26,15 +26,6 @@ func TestReadObservedEmitsSpan(t *testing.T) {
 	rec = obs.NewRecorder()
 	if _, err := ReadObserved(strings.NewReader("tasks t1\nbogus line here\n"), rec); err == nil {
 		t.Fatal("malformed trace accepted")
-	}
-	assertOneParseSpan(t, rec)
-}
-
-func TestFromEventsObservedEmitsSpan(t *testing.T) {
-	tr := PaperFigure2()
-	rec := obs.NewRecorder()
-	if _, err := FromEventsObserved(tr.Tasks, tr.Events(), rec); err != nil {
-		t.Fatal(err)
 	}
 	assertOneParseSpan(t, rec)
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
 	"github.com/blackbox-rt/modelgen/internal/lattice"
-	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
 
@@ -32,11 +31,7 @@ func (m Mode) Key() string { return strings.Join(m.Tasks, "+") }
 
 // Modes enumerates the distinct operation modes of the trace, most
 // frequent first (ties broken by key for determinism).
-func Modes(tr *trace.Trace) []Mode { return ModesObserved(tr, nil) }
-
-// ModesObserved is Modes with stage-"verify" observability:
-// periods_scanned and modes_enumerated pipeline events.
-func ModesObserved(tr *trace.Trace, o obs.Observer) []Mode {
+func Modes(tr *trace.Trace) []Mode {
 	byKey := map[string]*Mode{}
 	for _, p := range tr.Periods {
 		tasks := p.ExecutedTasks()
@@ -58,10 +53,6 @@ func ModesObserved(tr *trace.Trace, o obs.Observer) []Mode {
 		}
 		return out[i].Key() < out[j].Key()
 	})
-	if o != nil {
-		o.OnPipeline(obs.Pipeline{Stage: "verify", Name: "periods_scanned", Value: int64(len(tr.Periods))})
-		o.OnPipeline(obs.Pipeline{Stage: "verify", Name: "modes_enumerated", Value: int64(len(out))})
-	}
 	return out
 }
 

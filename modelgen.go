@@ -75,12 +75,8 @@ func ReadTraceString(s string) (*Trace, error) { return trace.ReadString(s) }
 
 // ReadTraceObserved parses the text format and reports parsing
 // observability (events read, periods segmented, malformed input) to
-// the observer; TraceFromEventsObserved is the equivalent for raw
-// event streams.
+// the observer.
 func ReadTraceObserved(r io.Reader, o Observer) (*Trace, error) { return trace.ReadObserved(r, o) }
-func TraceFromEventsObserved(tasks []string, events []Event, o Observer) (*Trace, error) {
-	return trace.FromEventsObserved(tasks, events, o)
-}
 
 // ReadTraceJSON and WriteTraceJSON use the JSON wire format (traces
 // also implement json.Marshaler/Unmarshaler directly).
@@ -280,17 +276,12 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	DebugServer     = obs.DebugServer
 
-	EngineStartEvent       = obs.EngineStart
-	PeriodStartEvent       = obs.PeriodStart
-	MessageProcessedEvent  = obs.MessageProcessed
-	HypothesisSpawnedEvent = obs.HypothesisSpawned
-	HypothesisMergedEvent  = obs.HypothesisMerged
-	HypothesisPrunedEvent  = obs.HypothesisPruned
-	PeriodEndEvent         = obs.PeriodEnd
-	RunEndEvent            = obs.RunEnd
-	PipelineEvent          = obs.Pipeline
-	ProvenanceEvent        = obs.Provenance
-	SpanEvent              = obs.SpanEnd
+	MessageProcessedEvent = obs.MessageProcessed
+	PeriodEndEvent        = obs.PeriodEnd
+	RunEndEvent           = obs.RunEnd
+	PipelineEvent         = obs.Pipeline
+	ProvenanceEvent       = obs.Provenance
+	SpanEvent             = obs.SpanEnd
 )
 
 // JSONLFileSink is a JSONL event sink writing to a buffered file: the
@@ -341,14 +332,6 @@ func CombineObservers(os ...Observer) Observer { return obs.NewMulti(os...) }
 func StartDebugServer(addr string, reg *MetricsRegistry) (*DebugServer, error) {
 	return obs.StartDebugServer(addr, reg)
 }
-
-// ExploreStateSpaceObserved is ExploreStateSpace with reachability
-// observability (states explored); ModesObserved is the equivalent
-// for mode enumeration.
-func ExploreStateSpaceObserved(d *DepFunc, o Observer) (ReachResult, error) {
-	return reach.ExploreObserved(d, o)
-}
-func ModesObserved(tr *Trace, o Observer) []Mode { return verify.ModesObserved(tr, o) }
 
 // Benchmark-telemetry re-exports: the versioned BENCH_<label>.json
 // schema written and compared by cmd/bbbench (see internal/bench).
