@@ -21,9 +21,10 @@ const DefaultDriftWindow = 20
 const driftConvergeAfter = 4
 
 // DriftDetection runs the drift monitor over one corpus entry the way
-// the serving layer does — an online learner feeds every period's
-// frontier LUB to a drift.Monitor — and checks the change-point
-// contract declared by the entry's manifest:
+// the serving layer does — after each learned period, the monitor
+// observes the period with the online learner's working-set LUB and
+// size — and checks the change-point contract declared by the entry's
+// manifest:
 //
 //   - stationary entries (DriftFlipPeriod == 0): the monitor must
 //     never alarm. The whole committed corpus doubles as the
@@ -56,11 +57,7 @@ func DriftDetection(e *Entry, opt learner.Options) ([]Violation, error) {
 			return []Violation{violationf("drift/learner-failure",
 				"learner failed at period %d of a corpus trace: %v", p.Index, err)}, nil
 		}
-		r, err := o.Result()
-		if err != nil {
-			return nil, err
-		}
-		if ev := mon.Observe(p, r.LUB, len(r.Hypotheses)); ev != nil {
+		if ev := mon.Observe(p, o.LUB(), o.WorkingSetSize()); ev != nil {
 			events = append(events, ev)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/depfunc"
-	"github.com/blackbox-rt/modelgen/internal/engine"
 	"github.com/blackbox-rt/modelgen/internal/learner"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
@@ -36,8 +35,9 @@ func flippedPeriod(i int) *trace.Period {
 	}
 }
 
-// session wires an online learner to a fresh monitor through the
-// engine's per-period verify-outcome hook, mirroring internal/serve.
+// session feeds an online learner's periods to a fresh monitor the
+// way internal/serve does: each learned period, then the working-set
+// LUB and size right after AddPeriod.
 type session struct {
 	o   *learner.Online
 	mon *Monitor
@@ -46,19 +46,11 @@ type session struct {
 
 func newSession(t *testing.T, cfg Config) *session {
 	t.Helper()
-	s := &session{mon: New(cfg)}
-	o, err := learner.NewOnline([]string{"t1", "t2"}, learner.Options{
-		OnPeriodVerify: func(out engine.VerifyOutcome) {
-			if ev := s.mon.Observe(out.Period, out.LUB, out.Live); ev != nil {
-				s.evs = append(s.evs, ev)
-			}
-		},
-	})
+	o, err := learner.NewOnline([]string{"t1", "t2"}, learner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.o = o
-	return s
+	return &session{o: o, mon: New(cfg)}
 }
 
 func (s *session) feed(t *testing.T, ps ...*trace.Period) {
@@ -66,6 +58,9 @@ func (s *session) feed(t *testing.T, ps ...*trace.Period) {
 	for _, p := range ps {
 		if err := s.o.AddPeriod(p); err != nil {
 			t.Fatalf("period %d: %v", p.Index, err)
+		}
+		if ev := s.mon.Observe(p, s.o.LUB(), s.o.WorkingSetSize()); ev != nil {
+			s.evs = append(s.evs, ev)
 		}
 	}
 }
@@ -249,7 +244,7 @@ func TestStateRoundTrip(t *testing.T) {
 	for k, p := range periods {
 		fresh.feed(t, p)
 		if restored != nil && k > flipAt+4 {
-			restored.Observe(p, mustLUB(t, fresh.o), fresh.o.WorkingSetSize())
+			restored.Observe(p, fresh.o.LUB(), fresh.o.WorkingSetSize())
 			if a, b := fresh.mon.State(), restored.State(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("period %d: restored monitor diverged:\n%+v\n%+v", k, a, b)
 			}
@@ -258,15 +253,6 @@ func TestStateRoundTrip(t *testing.T) {
 	if restored.Generation() != 2 {
 		t.Fatalf("restored monitor ended at generation %d, want 2", restored.Generation())
 	}
-}
-
-func mustLUB(t *testing.T, o *learner.Online) *depfunc.DepFunc {
-	t.Helper()
-	res, err := o.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.LUB
 }
 
 func TestRestoreRejectsCorruptState(t *testing.T) {

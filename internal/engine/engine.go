@@ -89,9 +89,8 @@ type Config struct {
 
 	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
 	// recent N periods (older entries are discarded). Zero keeps the
-	// full series — right for batch runs; long-running online
-	// sessions (internal/serve) set a cap so session memory stays
-	// bounded.
+	// full series — right for batch runs; a long-running online
+	// session needs a cap for its memory to stay bounded.
 	PeriodLiveCap int
 
 	// Observer receives the structured run-trace; nil disables
@@ -100,34 +99,6 @@ type Config struct {
 
 	// Provenance enables per-hypothesis derivation recording.
 	Provenance bool
-
-	// OnPeriodVerify, when non-nil, receives one VerifyOutcome after
-	// every successfully processed period: whether the period matched
-	// the model as it stood when the period arrived, plus the
-	// post-period frontier LUB — the online analogue of re-running
-	// Definition 3 against each new instance. Drift monitors
-	// (internal/drift) hook here. Nil disables the extra Match and
-	// JoinAll work entirely.
-	OnPeriodVerify func(VerifyOutcome)
-}
-
-// VerifyOutcome is the per-period verification report delivered to
-// Config.OnPeriodVerify.
-type VerifyOutcome struct {
-	// Period is the period just consumed (engine-owned; hooks must
-	// treat it as read-only and not retain it past the call).
-	Period *trace.Period
-	// Verified reports whether the period matched the pre-period LUB
-	// of the working set under the matching function M. The first
-	// periods of a session virtually always fail this check (the
-	// model is still ⊥-ish); sustained failures after convergence are
-	// the drift signal.
-	Verified bool
-	// LUB is the post-period least upper bound of the working set — a
-	// fresh DepFunc the hook may keep.
-	LUB *depfunc.DepFunc
-	// Live is the post-period working-set size.
-	Live int
 }
 
 // Stats instruments a run. The engine maintains the per-period
@@ -248,10 +219,6 @@ func (e *Engine) WorkingSetSize() int { return len(e.cur) }
 func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	obsv := e.cfg.Observer
 	children, merges := e.stats.Children, e.stats.Merges
-	var pre *depfunc.DepFunc
-	if e.cfg.OnPeriodVerify != nil {
-		pre = e.lub()
-	}
 	executed := execVector(p, e.ts)
 	cands, live := e.EnumerateCandidates(p)
 	if err := e.Generalize(p, cands, live); err != nil {
@@ -282,28 +249,7 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 			Relaxations: relaxed,
 		})
 	}
-	if hook := e.cfg.OnPeriodVerify; hook != nil {
-		sp := obs.StartSpan(obsv, obs.PhaseDriftVerify)
-		out := VerifyOutcome{
-			Period:   p,
-			Verified: depfunc.Match(pre, p, e.cfg.Policy),
-			LUB:      e.lub(),
-			Live:     len(e.cur),
-		}
-		sp.End()
-		hook(out)
-	}
 	return nil
-}
-
-// lub returns the pointwise least upper bound of the working set as a
-// fresh dependency function.
-func (e *Engine) lub() *depfunc.DepFunc {
-	ds := make([]*depfunc.DepFunc, len(e.cur))
-	for i, h := range e.cur {
-		ds[i] = &h.D
-	}
-	return depfunc.JoinAll(ds)
 }
 
 // EnumerateCandidates computes the timing-feasible candidate pairs of

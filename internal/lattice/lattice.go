@@ -328,21 +328,3 @@ func ParseValue(s string) (Value, error) {
 		return Par, fmt.Errorf("lattice: unknown dependency value %q", s)
 	}
 }
-
-// JoinAll folds Join over vs, returning Bottom for an empty slice.
-func JoinAll(vs ...Value) Value {
-	out := Bottom
-	for _, v := range vs {
-		out = Join(out, v)
-	}
-	return out
-}
-
-// MeetAll folds Meet over vs, returning Top for an empty slice.
-func MeetAll(vs ...Value) Value {
-	out := Top
-	for _, v := range vs {
-		out = Meet(out, v)
-	}
-	return out
-}

@@ -371,21 +371,6 @@ func TestInvalidValueString(t *testing.T) {
 	}
 }
 
-func TestJoinAllMeetAll(t *testing.T) {
-	if got := JoinAll(); got != Bottom {
-		t.Errorf("JoinAll() = %v, want Bottom", got)
-	}
-	if got := MeetAll(); got != Top {
-		t.Errorf("MeetAll() = %v, want Top", got)
-	}
-	if got := JoinAll(Fwd, Bwd, Par); got != Bi {
-		t.Errorf("JoinAll(Fwd, Bwd, Par) = %v, want Bi", got)
-	}
-	if got := MeetAll(FwdMaybe, Bi); got != Fwd {
-		t.Errorf("MeetAll(FwdMaybe, Bi) = %v, want Fwd", got)
-	}
-}
-
 func TestValuesComplete(t *testing.T) {
 	vs := Values()
 	if len(vs) != int(numValues) {

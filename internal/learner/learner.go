@@ -106,9 +106,10 @@ type Options struct {
 	RetainPeriods int
 
 	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
-	// recent N periods. Zero keeps the full series; long-running
-	// online sessions (internal/serve) set a cap so per-stream memory
-	// stays bounded.
+	// recent N periods. Zero keeps the full series, one entry per
+	// period; a long-running online session needs a cap for its
+	// memory to stay bounded (a served stream gets one only when its
+	// client sets period_live_cap).
 	PeriodLiveCap int
 
 	// Observer, when non-nil, receives the structured run-trace:
@@ -130,15 +131,6 @@ type Options struct {
 	// and the default path must stay allocation-free.
 	Provenance bool
 
-	// OnPeriodVerify, when non-nil, receives the engine's per-period
-	// verification report (engine.VerifyOutcome): whether each newly
-	// consumed period matched the model as it stood before the
-	// period, plus the post-period frontier LUB. It is a runtime knob
-	// (like Observer): not part of snapshots, and internal/serve wires
-	// it to the stream's drift monitor. The callback runs on the
-	// goroutine driving AddPeriod/Learn.
-	OnPeriodVerify func(engine.VerifyOutcome)
-
 	// Negatives lists periods the system is known to be unable to
 	// produce (forbidden behaviours supplied by the analyst — the
 	// version-space extension the paper sketches as future work).
@@ -157,13 +149,12 @@ type Options struct {
 // engineConfig translates the engine-facing subset of the options.
 func (opt Options) engineConfig() engine.Config {
 	return engine.Config{
-		Bound:          opt.Bound,
-		Policy:         opt.Policy,
-		MaxHypotheses:  opt.MaxHypotheses,
-		PeriodLiveCap:  opt.PeriodLiveCap,
-		Observer:       opt.Observer,
-		Provenance:     opt.Provenance,
-		OnPeriodVerify: opt.OnPeriodVerify,
+		Bound:         opt.Bound,
+		Policy:        opt.Policy,
+		MaxHypotheses: opt.MaxHypotheses,
+		PeriodLiveCap: opt.PeriodLiveCap,
+		Observer:      opt.Observer,
+		Provenance:    opt.Provenance,
 	}
 }
 

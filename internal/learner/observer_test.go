@@ -181,12 +181,65 @@ func TestOnlineObserverPerPeriod(t *testing.T) {
 	}
 }
 
+// TestMetricsObserverOnRealRuns attaches the metrics bridge to real
+// learning runs, exact and bounded, and checks that its counters
+// agree with Result.Stats and with the recorded period_end events.
+func TestMetricsObserverOnRealRuns(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		opt  Options
+	}{
+		{"figure2-exact", trace.PaperFigure2(), Options{}},
+		{"figure2-b2", trace.PaperFigure2(), Options{Bound: 2}},
+		{"lite-b16", casestudy.MustLiteTrace(), Options{Bound: 16, Policy: casestudy.LitePolicy()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			rec := obs.NewRecorder()
+			c.opt.Observer = obs.NewMulti(rec, obs.NewMetricsObserver(reg))
+			res, err := Learn(c.tr, c.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned := 0
+			for _, pe := range periodEnds(rec) {
+				pruned += pe.Subsumed + pe.Dropped
+			}
+			snap := reg.Snapshot()
+			st := res.Stats
+			for name, want := range map[string]int{
+				obs.MetricPeriods:     st.Periods,
+				obs.MetricMessages:    st.Messages,
+				obs.MetricSpawned:     st.Children,
+				obs.MetricMerges:      st.Merges,
+				obs.MetricRelaxations: st.Relaxations,
+				obs.MetricPruned:      pruned,
+			} {
+				if got := snap.Value(name); got != int64(want) {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+			if c.opt.Bound > 0 && st.Merges == 0 {
+				t.Errorf("bound %d did not merge; the test premise is broken", c.opt.Bound)
+			}
+			if pruned == 0 {
+				t.Error("nothing was pruned; the test premise is broken")
+			}
+		})
+	}
+}
+
 // TestNopObserverZeroAlloc proves the instrumentation adds zero
-// allocations when disabled: a run with a nil Observer allocates
-// exactly as much as one with the Nop observer attached, and the
-// per-period marginal cost of the nil path is unchanged by the
-// instrumentation (guarded via testing.AllocsPerRun over the online
-// learner's hot path).
+// allocations when disabled: a run with the Nop observer attached
+// allocates no more than a run with a nil Observer (guarded via
+// testing.AllocsPerRun over the learner's hot path).
+//
+// AllocsPerRun truncates its mean, and the runtime's allocation
+// count drifts by one with what ran before, so the Nop reading is
+// bracketed by two nil readings taken before and after it and must
+// lie within them. An observer-dependent allocation adds at least one
+// per emitted event, far outside that bracket.
 func TestNopObserverZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is nondeterministic under the race detector (sync.Pool drops puts at random)")
@@ -199,10 +252,11 @@ func TestNopObserverZeroAlloc(t *testing.T) {
 			}
 		})
 	}
-	nilAllocs := run(nil)
+	nilBefore := run(nil)
 	nopAllocs := run(obs.Nop)
-	if nilAllocs != nopAllocs {
-		t.Errorf("allocations differ: nil observer %.0f, Nop observer %.0f", nilAllocs, nopAllocs)
+	nilAfter := run(nil)
+	if lo, hi := min(nilBefore, nilAfter), max(nilBefore, nilAfter); nopAllocs < lo || nopAllocs > hi {
+		t.Errorf("allocations differ: Nop observer %.0f, nil observer %.0f before and %.0f after", nopAllocs, nilBefore, nilAfter)
 	}
 }
 
@@ -330,52 +384,3 @@ var errEOF = errorString("EOF")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
-
-// TestMetricsObserverOnRealRuns attaches the metrics bridge to real
-// learning runs, exact and bounded, and checks that its counters
-// agree with Result.Stats and with the recorded period_end events.
-func TestMetricsObserverOnRealRuns(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		tr   *trace.Trace
-		opt  Options
-	}{
-		{"figure2-exact", trace.PaperFigure2(), Options{}},
-		{"figure2-b2", trace.PaperFigure2(), Options{Bound: 2}},
-		{"lite-b16", casestudy.MustLiteTrace(), Options{Bound: 16, Policy: casestudy.LitePolicy()}},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			rec := obs.NewRecorder()
-			c.opt.Observer = obs.NewMulti(rec, obs.NewMetricsObserver(reg))
-			res, err := Learn(c.tr, c.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pruned := 0
-			for _, pe := range periodEnds(rec) {
-				pruned += pe.Subsumed + pe.Dropped
-			}
-			snap := reg.Snapshot()
-			st := res.Stats
-			for name, want := range map[string]int{
-				obs.MetricPeriods:     st.Periods,
-				obs.MetricMessages:    st.Messages,
-				obs.MetricSpawned:     st.Children,
-				obs.MetricMerges:      st.Merges,
-				obs.MetricRelaxations: st.Relaxations,
-				obs.MetricPruned:      pruned,
-			} {
-				if got := snap.Value(name); got != int64(want) {
-					t.Errorf("%s = %d, want %d", name, got, want)
-				}
-			}
-			if c.opt.Bound > 0 && st.Merges == 0 {
-				t.Errorf("bound %d did not merge; the test premise is broken", c.opt.Bound)
-			}
-			if pruned == 0 {
-				t.Error("nothing was pruned; the test premise is broken")
-			}
-		})
-	}
-}

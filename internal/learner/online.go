@@ -66,6 +66,18 @@ func (o *Online) Stats() Stats { return o.eng.Stats() }
 // WorkingSetSize returns the current number of live hypotheses.
 func (o *Online) WorkingSetSize() int { return o.eng.WorkingSetSize() }
 
+// LUB returns the pointwise least upper bound of the current working
+// set as a fresh dependency function the caller may keep: the live
+// model a drift monitor checks each newly learned period against.
+func (o *Online) LUB() *depfunc.DepFunc {
+	working := o.eng.Working()
+	ds := make([]*depfunc.DepFunc, len(working))
+	for i, h := range working {
+		ds[i] = &h.D
+	}
+	return depfunc.JoinAll(ds)
+}
+
 // RetainedPeriods returns the number of periods currently held in the
 // verification ring buffer (at most Options.RetainPeriods).
 func (o *Online) RetainedPeriods() int { return len(o.retained) }

@@ -152,8 +152,8 @@ func (sp SnapshotPeriod) period() *trace.Period {
 // algorithmic options (Bound, Policy, MaxHypotheses,
 // RetainPeriods, PeriodLiveCap) come from the snapshot; opt supplies
 // only the runtime-facing knobs — Observer, Provenance, VerifyResults,
-// Negatives, OnPeriodVerify — which may differ from the original
-// session's without affecting replay determinism.
+// Negatives — which may differ from the original session's without
+// affecting replay determinism.
 func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
 	if s.Version != SnapshotVersion {
 		return nil, fmt.Errorf("learner: snapshot version %d, this binary reads %d", s.Version, SnapshotVersion)

@@ -33,9 +33,11 @@
 // hypothesis when provenance recording is enabled on the learner
 // (one event per generalization step, action "assume", "relax" or
 // "merge"). span events time the pipeline phases (simulate,
-// trace_parse, candidates, generalize, postprocess, verify,
-// drift_verify — see StartSpan), so CPU profiles can be
-// cross-referenced with logical phases.
+// trace_parse, candidates, generalize, postprocess, verify — see
+// StartSpan), so CPU profiles can be cross-referenced with logical
+// phases. drift_verify is not an engine phase: it is the served trace
+// span (a child of learn_period) around the drift monitor's check of
+// each learned period.
 //
 // # Metric names
 //

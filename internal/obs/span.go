@@ -26,7 +26,7 @@ const (
 	PhaseGeneralize  = "generalize"   // per-message generalization sweep
 	PhasePostprocess = "postprocess"  // end-of-period relax/unify/prune
 	PhaseVerify      = "verify"       // result re-verification against the trace
-	PhaseDriftVerify = "drift_verify" // per-period verify-outcome hook (drift detection)
+	PhaseDriftVerify = "drift_verify" // served per-period drift-monitor check (internal/serve trace span)
 )
 
 // StartSpan begins timing the named phase against o. A nil observer

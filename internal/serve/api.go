@@ -47,6 +47,28 @@ func (lo LearnOptions) options() learner.Options {
 	}
 }
 
+// algorithmic returns lo without its runtime knobs: the fields a
+// learner snapshot carries.
+func (lo LearnOptions) algorithmic() LearnOptions {
+	lo.VerifyResults, lo.Provenance = false, false
+	return lo
+}
+
+// snapshotOptions returns the algorithmic options a learner snapshot
+// restores with, in wire form.
+func snapshotOptions(s *learner.Snapshot) LearnOptions {
+	return LearnOptions{
+		Bound:          s.Bound,
+		MaxHypotheses:  s.MaxHypotheses,
+		RetainPeriods:  s.RetainPeriods,
+		PeriodLiveCap:  s.PeriodLiveCap,
+		SenderWindow:   s.SenderWindow,
+		ReceiverWindow: s.ReceiverWindow,
+		MaxSenders:     s.MaxSenders,
+		MaxReceivers:   s.MaxReceivers,
+	}
+}
+
 // CreateStreamRequest is the body of POST /v1/streams.
 type CreateStreamRequest struct {
 	// ID names the stream; the server generates "s1", "s2", ... when

@@ -206,6 +206,62 @@ func TestDriftDisabledStream(t *testing.T) {
 	}
 }
 
+// TestDriftVerifySpanUnderLearnPeriod: on a traced drift-enabled
+// stream, every learn_period span has exactly one drift_verify child
+// (the monitor's check of that period); a drift-less stream has none.
+func TestDriftVerifySpanUnderLearnPeriod(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerConfig{})
+	sv := New(Config{Tracer: tr})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	c := newClient(t, ts)
+	c.createStream(CreateStreamRequest{ID: "watched", Tasks: []string{"t1", "t2"}, Drift: driftEnabled()})
+	c.createStream(CreateStreamRequest{ID: "plain", Tasks: []string{"t1", "t2"}})
+
+	// spans feeds three periods and returns the spans of the trace the
+	// server started for the request.
+	spans := func(id string) []obs.SpanRecord {
+		t.Helper()
+		resp, _ := c.do("POST", "/v1/streams/"+id+"/events", []byte(driftFeed(0, 3)))
+		sc, ok := obs.ParseTraceparent(resp.Header.Get("traceparent"))
+		if !ok {
+			t.Fatalf("events %s: no traceparent in the response", id)
+		}
+		waitLearned(t, c, id, 3)
+		return tr.Spans(sc.TraceID)
+	}
+	children := func(recs []obs.SpanRecord, parent obs.SpanID, name string) int {
+		n := 0
+		for _, r := range recs {
+			if r.Parent == parent && r.Name == name {
+				n++
+			}
+		}
+		return n
+	}
+
+	recs := spans("watched")
+	learns := 0
+	for _, r := range recs {
+		if r.Name != "learn_period" {
+			continue
+		}
+		learns++
+		if n := children(recs, r.SpanID, obs.PhaseDriftVerify); n != 1 {
+			t.Errorf("learn_period span %v has %d drift_verify children, want 1", r.SpanID, n)
+		}
+	}
+	if learns != 3 {
+		t.Fatalf("trace has %d learn_period spans, want 3", learns)
+	}
+
+	for _, r := range spans("plain") {
+		if r.Name == obs.PhaseDriftVerify {
+			t.Fatalf("drift-less stream emitted a drift_verify span: %+v", r)
+		}
+	}
+}
+
 // TestDriftCheckpointRestart is the satellite round-trip guarantee:
 // drift-monitor state survives checkpoint/restart bit-identically, and
 // a server restarted mid-detection finishes the detection exactly like

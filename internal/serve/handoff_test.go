@@ -315,4 +315,10 @@ func TestImportRejectsBadEnvelopes(t *testing.T) {
 		`"tasks":["b","a"],"history":"0000","working_packed":["AAAAAAAAAAA="]}}`), 0); err == nil {
 		t.Fatal("envelope whose snapshot and stream task sets differ accepted")
 	}
+	// The learner would restore at bound 150 from the snapshot, then
+	// fork its next generation at bound 1 from the stream options.
+	if _, err := sv.ImportStream([]byte(`{"serve_version":1,"info":{"id":"x","tasks":["a","b"],"options":{"bound":1}},`+
+		`"snapshot":{"version":2,"tasks":["a","b"],"bound":150,"history":"0000","working_packed":["AAAAAAAAAAA="]}}`), 0); err == nil {
+		t.Fatal("envelope whose snapshot and stream learner options differ accepted")
+	}
 }

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"github.com/blackbox-rt/modelgen/internal/drift"
-	"github.com/blackbox-rt/modelgen/internal/engine"
 	"github.com/blackbox-rt/modelgen/internal/learner"
 	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/store"
@@ -356,21 +355,20 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 }
 
 // newStreamShell builds a stream minus its learner and drift monitor:
-// parser, channels, metrics, the trace bridge and the drift verify
-// hook (which reads s.mon dynamically, so it works whether the
-// monitor is built now, at hydration, or at a generation fork). The
-// caller either hydrates the shell eagerly (addStream) or registers
-// it cold (registerCold).
+// parser, channels, metrics and the trace bridge. The caller either
+// hydrates the shell eagerly (addStream) or registers it cold
+// (registerCold).
 func (sv *Server) newStreamShell(info StreamInfo) (*stream, error) {
 	p, err := newParser(info.Tasks, info.BitRate, info.PeriodUS)
 	if err != nil {
 		return nil, err
 	}
-	opt := info.Options.options()
 	s := &stream{
 		id:              info.ID,
 		info:            info,
+		opt:             info.Options.options(),
 		parser:          p,
+		driftEnabled:    info.Drift != nil && info.Drift.Enabled,
 		queue:           make(chan queuedPeriod, sv.cfg.QueueDepth),
 		reqs:            make(chan func(*learner.Online)),
 		closing:         make(chan struct{}),
@@ -386,23 +384,8 @@ func (sv *Server) newStreamShell(info StreamInfo) (*stream, error) {
 	}
 	if sv.cfg.Tracer != nil {
 		s.bridge = &phaseBridge{tracer: sv.cfg.Tracer}
-		opt.Observer = s.bridge
+		s.opt.Observer = s.bridge
 	}
-	if do := info.Drift; do != nil && do.Enabled {
-		s.driftEnabled = true
-		// The hook runs synchronously inside AddPeriod on the owner
-		// goroutine; consume picks up pendingDrift right after. s.mon
-		// is owner-written, so the dynamic read is race-free.
-		opt.OnPeriodVerify = func(out engine.VerifyOutcome) {
-			if s.mon == nil {
-				return
-			}
-			if ev := s.mon.Observe(out.Period, out.LUB, out.Live); ev != nil {
-				s.pendingDrift = ev
-			}
-		}
-	}
-	s.opt = opt
 	if reg := sv.cfg.Registry; reg != nil {
 		s.mQueueDepth = reg.LabeledGauge("serve_queue_depth",
 			"Ingest queue occupancy per stream.", "stream", s.id)

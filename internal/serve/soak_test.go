@@ -25,8 +25,10 @@ import (
 // tests cannot: every stream still converges to the batch-learner
 // model, no goroutine outlives its stream, and heap usage returns to
 // (near) baseline once the streams are gone — i.e. per-stream state
-// really is bounded (PeriodLiveCap, the retention ring, the ingest
-// queue) and really is released.
+// really is bounded (the retention ring, the ingest queue, and the
+// PeriodLive series these streams cap by opting in with
+// PeriodLiveCap; a stream created without the option keeps one entry
+// per learned period) and really is released.
 //
 // Run it with the soak build tag, e.g. `make soak`.
 func TestSoak(t *testing.T) {

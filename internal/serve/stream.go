@@ -122,12 +122,10 @@ type stream struct {
 	learned int // periods consumed, across restarts and generations
 
 	// Drift monitoring. driftEnabled is immutable after construction;
-	// mon is owner-only (built at hydration) and pendingDrift carries
-	// the alarm raised by the verify hook during AddPeriod back to
-	// consume, which forks the next model generation.
+	// mon is owner-only (built at hydration) and observes every period
+	// consume learns.
 	driftEnabled bool
 	mon          *drift.Monitor
-	pendingDrift *drift.Event
 
 	// Per-stream metric series, unregistered when the stream is
 	// deleted.
@@ -303,7 +301,6 @@ func (s *stream) consume(qp queuedPeriod) {
 			s.bridge.setParent(obs.SpanContext{})
 		}
 	}
-	s.pendingDrift = nil
 	// forked/replayed steer persistence: a forked period appends a
 	// Fork WAL record; only a replayed fork has learner state (a
 	// delta) to carry.
@@ -317,17 +314,20 @@ func (s *stream) consume(qp queuedPeriod) {
 		if ferr := s.forkGeneration(s.mon.ForceAlarm(), sp); ferr != nil {
 			err = ferr
 		} else {
-			s.pendingDrift = nil
 			forked, replayed = true, true
 			err = s.o.AddPeriod(qp.p)
 		}
 	}
-	if err == nil && s.pendingDrift != nil {
-		// The verify hook raised a detector alarm during AddPeriod.
-		ev := s.pendingDrift
-		s.pendingDrift = nil
-		forked, replayed = true, false
-		err = s.forkGeneration(ev, sp)
+	if err == nil && s.mon != nil {
+		// Check the learned period against the frozen reference; a
+		// detector alarm forks the next model generation.
+		vs := sp.StartChild(obs.PhaseDriftVerify)
+		ev := s.mon.Observe(qp.p, s.o.LUB(), s.o.WorkingSetSize())
+		vs.End()
+		if ev != nil {
+			forked, replayed = true, false
+			err = s.forkGeneration(ev, sp)
+		}
 	}
 	if sp != nil {
 		sp.SetAttr("stream", s.id)
@@ -444,8 +444,10 @@ func encodeCheckpoint(info StreamInfo, snap *learner.Snapshot, dst *drift.State)
 }
 
 // decodeCheckpoint parses an envelope and checks its version and that
-// it carries a learner snapshot over the stream's task set;
-// RestoreOnline validates the snapshot itself.
+// it carries a learner snapshot over the stream's task set and
+// algorithmic options (RestoreOnline learns with the snapshot's, a
+// generation fork with the stream's); RestoreOnline validates the
+// snapshot itself.
 func decodeCheckpoint(b []byte) (*checkpointFile, error) {
 	var cf checkpointFile
 	if err := json.Unmarshal(b, &cf); err != nil {
@@ -458,6 +460,9 @@ func decodeCheckpoint(b []byte) (*checkpointFile, error) {
 		return nil, errors.New("envelope carries no learner snapshot")
 	case !slices.Equal(cf.Snapshot.Tasks, cf.Info.Tasks):
 		return nil, fmt.Errorf("envelope snapshot is over tasks %v, stream over %v", cf.Snapshot.Tasks, cf.Info.Tasks)
+	case snapshotOptions(cf.Snapshot) != cf.Info.Options.algorithmic():
+		return nil, fmt.Errorf("envelope snapshot learns with options %+v, stream with %+v",
+			snapshotOptions(cf.Snapshot), cf.Info.Options.algorithmic())
 	}
 	return &cf, nil
 }
@@ -602,9 +607,8 @@ func (s *stream) buildLearner(snap *learner.Snapshot) error {
 }
 
 // buildMonitor creates the drift monitor of a drift-enabled stream,
-// restored from dst when non-nil. The OnPeriodVerify hook installed
-// at construction reads s.mon dynamically, so it starts observing as
-// soon as this sets it.
+// restored from dst when non-nil; consume feeds it from the next
+// learned period on.
 func (s *stream) buildMonitor(dst *drift.State) error {
 	if !s.driftEnabled {
 		return nil
