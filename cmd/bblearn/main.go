@@ -216,9 +216,6 @@ func printStats(res *modelgen.LearnResult, reg *modelgen.MetricsRegistry) {
 	fmt.Printf("  merges:            %d\n", s.Merges)
 	fmt.Printf("  relaxations:       %d\n", s.Relaxations)
 	fmt.Printf("  elapsed:           %v\n", s.Elapsed.Round(time.Microsecond))
-	if len(s.PeriodLive) > 0 {
-		fmt.Printf("  live per period:   %v\n", s.PeriodLive)
-	}
 	if reg != nil {
 		snap := reg.Snapshot()
 		if m, ok := snap["modelgen_learner_candidates_per_message"]; ok && m.Count > 0 {

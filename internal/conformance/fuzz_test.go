@@ -92,3 +92,41 @@ func FuzzLearn(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCompleteness runs the Theorem-3 oracle on arbitrary three-task
+// text traces: the exact result must be exactly the ⊑-minimal
+// consistent set of the full enumeration, and every bounded result
+// must dominate an exact one. Inputs that do not parse, have another
+// task count, exceed the FuzzLearn size caps or that the learner
+// rejects (no explainable assignment) are skipped.
+func FuzzCompleteness(f *testing.F) {
+	for _, seed := range thm3Seeds[:4] {
+		if tr, err := thm3Trace(seed); err == nil {
+			f.Add(tr.String())
+		}
+	}
+	f.Add("tasks a b c\nperiod\nexec a 0 5\nmsg m1 6 7\nexec b 9 12\nperiod\nexec a 100 105\nmsg m2 106 107\nexec c 110 115\n")
+	f.Fuzz(func(t *testing.T, input string) {
+		tr, err := trace.ReadString(input)
+		if err != nil || len(tr.Tasks) != 3 || len(tr.Periods) > fuzzMaxPeriods {
+			return
+		}
+		msgs := 0
+		for _, p := range tr.Periods {
+			msgs += len(p.Msgs)
+		}
+		if msgs > fuzzMaxMsgs {
+			return
+		}
+		vs, err := Thm3Completeness(tr, depfunc.CandidatePolicy{}, thm3Bounds)
+		if err != nil {
+			return
+		}
+		for _, v := range vs {
+			t.Errorf("%s: %s", v.Property, v.Detail)
+		}
+		if len(vs) > 0 {
+			t.Fatalf("input:\n%s", input)
+		}
+	})
+}

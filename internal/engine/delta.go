@@ -57,10 +57,8 @@ type PeriodDelta struct {
 	// encodings (depfunc.EncodePacked), in the order their -1 slots
 	// appear in Keep. Decoding restores each matrix bit-identically.
 	Packed []string `json:"packed,omitempty"`
-	// Stats is the full post-period counter snapshot (fixed size) with
-	// PeriodLive elided; Live is this period's PeriodLive entry.
+	// Stats is the full post-period counter snapshot (fixed size).
 	Stats Stats `json:"stats"`
-	Live  int   `json:"live"`
 }
 
 // ErrDeltaSpan is returned by PeriodDelta when the engine processed
@@ -133,8 +131,6 @@ func (e *Engine) PeriodDelta() (*PeriodDelta, error) {
 		}
 	}
 	d.Stats = e.stats
-	d.Stats.PeriodLive = nil
-	d.Live = e.stats.PeriodLive[len(e.stats.PeriodLive)-1]
 	e.resetDeltaBase()
 	return d, nil
 }
@@ -193,14 +189,7 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 	for _, i := range d.HistSet {
 		e.hist[i] = true
 	}
-	pl := e.stats.PeriodLive
 	e.stats = d.Stats
-	if cap := e.cfg.PeriodLiveCap; cap > 0 && len(pl) >= cap {
-		copy(pl, pl[len(pl)-cap+1:])
-		e.stats.PeriodLive = append(pl[:cap-1], d.Live)
-	} else {
-		e.stats.PeriodLive = append(pl, d.Live)
-	}
 	e.resetDeltaBase()
 	return nil
 }

@@ -87,12 +87,6 @@ type Config struct {
 	// size. Zero means unlimited.
 	MaxHypotheses int
 
-	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
-	// recent N periods (older entries are discarded). Zero keeps the
-	// full series — right for batch runs; a long-running online
-	// session needs a cap for its memory to stay bounded.
-	PeriodLiveCap int
-
 	// Observer receives the structured run-trace; nil disables
 	// emission at zero cost.
 	Observer obs.Observer
@@ -120,11 +114,6 @@ type Stats struct {
 	// NegativeRejections counts final hypotheses discarded because
 	// they matched a forbidden behaviour.
 	NegativeRejections int
-	// PeriodLive records the live hypothesis count at the end of each
-	// processed period, in order (the per-period series behind Peak).
-	// With Config.PeriodLiveCap set, only the most recent N entries
-	// are kept.
-	PeriodLive []int
 	// Elapsed is the wall time of the batch Learn call (zero for
 	// Online.Result snapshots, which have no defined start).
 	Elapsed time.Duration
@@ -201,7 +190,8 @@ func New(ts *depfunc.TaskSet, cfg Config) *Engine {
 // TaskSet returns the session's task set.
 func (e *Engine) TaskSet() *depfunc.TaskSet { return e.ts }
 
-// Stats returns a snapshot of the instrumentation counters.
+// Stats returns a copy of the instrumentation counters. Stats holds
+// only scalars, so the copy shares nothing with the engine.
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Working returns the live hypothesis set (not a copy; callers must
@@ -226,13 +216,6 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	}
 	relaxed, dropped := e.Postprocess(p, executed)
 	e.stats.Periods++
-	if cap := e.cfg.PeriodLiveCap; cap > 0 && len(e.stats.PeriodLive) >= cap {
-		pl := e.stats.PeriodLive
-		copy(pl, pl[len(pl)-cap+1:])
-		e.stats.PeriodLive = append(pl[:cap-1], len(e.cur))
-	} else {
-		e.stats.PeriodLive = append(e.stats.PeriodLive, len(e.cur))
-	}
 	if obsv != nil {
 		// Postprocess leaves the survivors sorted by ascending
 		// weight, so the weight range is at the ends.

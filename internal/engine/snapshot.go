@@ -36,7 +36,6 @@ func (e *Engine) State() *State {
 		Working: make([]*depfunc.DepFunc, 0, len(e.cur)),
 		Stats:   e.stats,
 	}
-	st.Stats.PeriodLive = append([]int(nil), e.stats.PeriodLive...)
 	for _, h := range e.cur {
 		st.Working = append(st.Working, h.D.Clone())
 	}
@@ -75,7 +74,6 @@ func Restore(ts *depfunc.TaskSet, cfg Config, st *State) (*Engine, error) {
 		e.cur = append(e.cur, h)
 	}
 	e.stats = st.Stats
-	e.stats.PeriodLive = append([]int(nil), st.Stats.PeriodLive...)
 	if e.stats.Peak < len(e.cur) {
 		e.stats.Peak = len(e.cur)
 	}

@@ -38,7 +38,7 @@ func roundTrip(t *testing.T, d *Delta) *Delta {
 // TestDeltaReplayEquivalence: capturing a delta after every period
 // and applying the JSON round-tripped deltas to a twin session keeps
 // the twin bit-identical to the original at every step, across option
-// shapes (exact, bounded, retained-ring, capped PeriodLive).
+// shapes (exact, bounded, retained-ring).
 func TestDeltaReplayEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -47,7 +47,6 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 		{"exact", Options{}},
 		{"bounded", Options{Bound: 8}},
 		{"retained", Options{Bound: 8, RetainPeriods: 3}},
-		{"livecap", Options{Bound: 8, PeriodLiveCap: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tasks, periods := feedPeriods(4)

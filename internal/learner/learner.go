@@ -105,13 +105,6 @@ type Options struct {
 	// which always has the full trace.
 	RetainPeriods int
 
-	// PeriodLiveCap bounds the Stats.PeriodLive series to the most
-	// recent N periods. Zero keeps the full series, one entry per
-	// period; a long-running online session needs a cap for its
-	// memory to stay bounded (a served stream gets one only when its
-	// client sets period_live_cap).
-	PeriodLiveCap int
-
 	// Observer, when non-nil, receives the structured run-trace:
 	// per-message candidate fan-out and live counts, one period_end
 	// per period with its spawn/merge/subsume/prune counters, and
@@ -152,7 +145,6 @@ func (opt Options) engineConfig() engine.Config {
 		Bound:         opt.Bound,
 		Policy:        opt.Policy,
 		MaxHypotheses: opt.MaxHypotheses,
-		PeriodLiveCap: opt.PeriodLiveCap,
 		Observer:      opt.Observer,
 		Provenance:    opt.Provenance,
 	}

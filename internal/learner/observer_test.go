@@ -89,18 +89,35 @@ func TestObserverEventSequenceExact(t *testing.T) {
 		t.Errorf("candidate sum over events = %d, Stats.Candidates = %d", candSum, res.Stats.Candidates)
 	}
 
-	// Per-period live counts: period_end events, Stats.PeriodLive and
-	// the final result must line up. The exact algorithm on Figure 2
-	// returns the paper's 5 most specific hypotheses.
+	// Per-period live counts: each period_end's live field is the
+	// working-set size right after that period's AddPeriod in an
+	// online session, and the final one matches the result. The exact
+	// algorithm on Figure 2 returns the paper's 5 most specific
+	// hypotheses.
 	ends := rec.OfKind("period_end")
-	if len(ends) != len(res.Stats.PeriodLive) {
-		t.Fatalf("period_end events = %d, PeriodLive = %v", len(ends), res.Stats.PeriodLive)
+	if len(ends) != len(tr.Periods) {
+		t.Fatalf("period_end events = %d, periods = %d", len(ends), len(tr.Periods))
+	}
+	orec := obs.NewRecorder()
+	o, err := NewOnline(tr.Tasks, Options{Observer: orec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range tr.Periods {
+		if err := o.AddPeriod(p); err != nil {
+			t.Fatal(err)
+		}
+		oends := periodEnds(orec)
+		if len(oends) != i+1 {
+			t.Fatalf("after period %d: %d online period_end events", i, len(oends))
+		}
+		if live := oends[i].Live; live != o.WorkingSetSize() || live != ends[i].(obs.PeriodEnd).Live {
+			t.Errorf("period %d: online event live = %d, WorkingSetSize = %d, batch event live = %d",
+				i, live, o.WorkingSetSize(), ends[i].(obs.PeriodEnd).Live)
+		}
 	}
 	for i, e := range ends {
 		pe := e.(obs.PeriodEnd)
-		if pe.Live != res.Stats.PeriodLive[i] {
-			t.Errorf("period %d: event live = %d, Stats.PeriodLive = %d", i, pe.Live, res.Stats.PeriodLive[i])
-		}
 		if pe.WeightMin > pe.WeightMax {
 			t.Errorf("period %d: weight range %d..%d inverted", i, pe.WeightMin, pe.WeightMax)
 		}
@@ -176,8 +193,8 @@ func TestOnlineObserverPerPeriod(t *testing.T) {
 	if rec.Count("run_end") != 0 {
 		t.Error("online session emitted run_end")
 	}
-	if got := o.Stats().PeriodLive; len(got) != 1 {
-		t.Errorf("PeriodLive = %v, want one entry", got)
+	if got := o.Stats().Periods; got != 1 {
+		t.Errorf("Stats().Periods = %d, want 1", got)
 	}
 }
 

@@ -120,8 +120,8 @@ func (o *Online) retainedTrace() *trace.Trace {
 
 // Result snapshots the current hypothesis set. The session remains
 // usable: further periods may be added and Result called again. The
-// returned dependency functions are deep copies and never mutated by
-// subsequent AddPeriod calls.
+// returned dependency functions are deep copies and, like the Stats
+// value, never mutated by subsequent AddPeriod calls.
 //
 // With Options.VerifyResults set, the snapshot is re-checked against
 // the retained-period window (Options.RetainPeriods); hypotheses

@@ -41,7 +41,6 @@ type Snapshot struct {
 	Bound          int   `json:"bound,omitempty"`
 	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
-	PeriodLiveCap  int   `json:"period_live_cap,omitempty"`
 	SenderWindow   int64 `json:"sender_window,omitempty"`
 	ReceiverWindow int64 `json:"receiver_window,omitempty"`
 	MaxSenders     int   `json:"max_senders,omitempty"`
@@ -92,7 +91,6 @@ func (o *Online) Snapshot() (*Snapshot, error) {
 		Bound:          o.opt.Bound,
 		MaxHypotheses:  o.opt.MaxHypotheses,
 		RetainPeriods:  o.opt.RetainPeriods,
-		PeriodLiveCap:  o.opt.PeriodLiveCap,
 		SenderWindow:   o.opt.Policy.SenderWindow,
 		ReceiverWindow: o.opt.Policy.ReceiverWindow,
 		MaxSenders:     o.opt.Policy.MaxSenders,
@@ -149,8 +147,8 @@ func (sp SnapshotPeriod) period() *trace.Period {
 }
 
 // RestoreOnline rebuilds an online session from a Snapshot. The
-// algorithmic options (Bound, Policy, MaxHypotheses,
-// RetainPeriods, PeriodLiveCap) come from the snapshot; opt supplies
+// algorithmic options (Bound, Policy, MaxHypotheses, RetainPeriods)
+// come from the snapshot; opt supplies
 // only the runtime-facing knobs — Observer, Provenance, VerifyResults,
 // Negatives — which may differ from the original session's without
 // affecting replay determinism.
@@ -165,7 +163,6 @@ func RestoreOnline(s *Snapshot, opt Options) (*Online, error) {
 	opt.Bound = s.Bound
 	opt.MaxHypotheses = s.MaxHypotheses
 	opt.RetainPeriods = s.RetainPeriods
-	opt.PeriodLiveCap = s.PeriodLiveCap
 	opt.Policy = depfunc.CandidatePolicy{
 		SenderWindow:   s.SenderWindow,
 		ReceiverWindow: s.ReceiverWindow,

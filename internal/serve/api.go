@@ -22,7 +22,6 @@ type LearnOptions struct {
 	MaxHypotheses  int   `json:"max_hypotheses,omitempty"`
 	VerifyResults  bool  `json:"verify_results,omitempty"`
 	RetainPeriods  int   `json:"retain_periods,omitempty"`
-	PeriodLiveCap  int   `json:"period_live_cap,omitempty"`
 	Provenance     bool  `json:"provenance,omitempty"`
 	SenderWindow   int64 `json:"sender_window,omitempty"`
 	ReceiverWindow int64 `json:"receiver_window,omitempty"`
@@ -36,7 +35,6 @@ func (lo LearnOptions) options() learner.Options {
 		MaxHypotheses: lo.MaxHypotheses,
 		VerifyResults: lo.VerifyResults,
 		RetainPeriods: lo.RetainPeriods,
-		PeriodLiveCap: lo.PeriodLiveCap,
 		Provenance:    lo.Provenance,
 		Policy: depfunc.CandidatePolicy{
 			SenderWindow:   lo.SenderWindow,
@@ -61,7 +59,6 @@ func snapshotOptions(s *learner.Snapshot) LearnOptions {
 		Bound:          s.Bound,
 		MaxHypotheses:  s.MaxHypotheses,
 		RetainPeriods:  s.RetainPeriods,
-		PeriodLiveCap:  s.PeriodLiveCap,
 		SenderWindow:   s.SenderWindow,
 		ReceiverWindow: s.ReceiverWindow,
 		MaxSenders:     s.MaxSenders,

@@ -21,7 +21,11 @@ import (
 // the rendered "working" tables beside "working_packed"), and
 // wal.jsonl holds the WAL record payloads of the remaining periods, one
 // per line. Both came from recordCompatRun below. The fixture is never
-// regenerated: its point is that it predates the current encoder.
+// regenerated: its point is that it predates the current encoder. It
+// also predates the deletion of the per-period live series: its
+// snapshot stats carry "PeriodLive", and each WAL delta carries
+// "live" and a null stats "PeriodLive", keys the current decoder
+// ignores and the current encoder no longer writes.
 
 const compatID = "compat"
 
@@ -95,10 +99,43 @@ func readCompatFixture(t *testing.T) (base []byte, payloads [][]byte) {
 	return base, bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n"))
 }
 
+// jsonMap decodes a JSON object.
+func jsonMap(t *testing.T, b []byte) map[string]any {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// dropFixtureKeys deletes keys from obj, failing when the fixture lacks
+// one (then it was not written by the older encoder).
+func dropFixtureKeys(t *testing.T, obj map[string]any, keys ...string) {
+	t.Helper()
+	for _, k := range keys {
+		if _, ok := obj[k]; !ok {
+			t.Fatalf("fixture has no %q key; it was not written by the older encoder", k)
+		}
+		delete(obj, k)
+	}
+}
+
+// fixturePayload decodes a fixture WAL payload without the keys of
+// the deleted live series: delta.live and delta.stats.PeriodLive.
+func fixturePayload(t *testing.T, p []byte) map[string]any {
+	t.Helper()
+	m := jsonMap(t, p)
+	delta := m["delta"].(map[string]any)
+	dropFixtureKeys(t, delta, "live")
+	dropFixtureKeys(t, delta["stats"].(map[string]any), "PeriodLive")
+	return m
+}
+
 // TestCompatFixtureHydrates: a store holding the older binary's base
 // envelope and WAL hydrates to the batch learner's model, to a learner
 // state bit-identical to a session that never left memory, and every
-// WAL delta re-encodes to the bytes on disk.
+// WAL delta re-encodes to the JSON on disk less the live-series keys.
 func TestCompatFixtureHydrates(t *testing.T) {
 	base, payloads := readCompatFixture(t)
 	tr := compatTrace()
@@ -165,7 +202,7 @@ func TestCompatFixtureHydrates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, p) {
+		if !reflect.DeepEqual(jsonMap(t, again), fixturePayload(t, p)) {
 			t.Errorf("payload %d re-encodes differently:\n got %s\nwant %s", i, again, p)
 		}
 	}
@@ -192,9 +229,9 @@ func TestCompatFixtureHydrates(t *testing.T) {
 }
 
 // TestCompatFixtureMatchesCurrentEncoder: the current binary, serving
-// the fixture's run, writes byte-identical WAL payloads, and a base
-// envelope that differs from the older one only by the dropped
-// "working" table array.
+// the fixture's run, writes WAL payloads and a base envelope that
+// differ from the older ones only by the dropped "working" table array
+// and the dropped live-series keys.
 func TestCompatFixtureMatchesCurrentEncoder(t *testing.T) {
 	oldBase, oldPayloads := readCompatFixture(t)
 	base, payloads := recordCompatRun(t, t.TempDir())
@@ -202,23 +239,15 @@ func TestCompatFixtureMatchesCurrentEncoder(t *testing.T) {
 		t.Fatalf("%d WAL payloads, fixture has %d", len(payloads), len(oldPayloads))
 	}
 	for i := range payloads {
-		if !bytes.Equal(payloads[i], oldPayloads[i]) {
+		if !reflect.DeepEqual(jsonMap(t, payloads[i]), fixturePayload(t, oldPayloads[i])) {
 			t.Errorf("WAL payload %d differs from the fixture:\n got %s\nwant %s", i, payloads[i], oldPayloads[i])
 		}
 	}
-	var cur, old map[string]any
-	if err := json.Unmarshal(base, &cur); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(oldBase, &old); err != nil {
-		t.Fatal(err)
-	}
+	cur, old := jsonMap(t, base), jsonMap(t, oldBase)
 	oldSnap := old["snapshot"].(map[string]any)
-	if _, ok := oldSnap["working"]; !ok {
-		t.Fatal("fixture base has no \"working\" tables; it was not written by the older encoder")
-	}
-	delete(oldSnap, "working")
+	dropFixtureKeys(t, oldSnap, "working")
+	dropFixtureKeys(t, oldSnap["stats"].(map[string]any), "PeriodLive")
 	if !reflect.DeepEqual(cur, old) {
-		t.Errorf("base envelope differs beyond the dropped working tables:\n got %s\nwant %s", base, oldBase)
+		t.Errorf("base envelope differs beyond the dropped working tables and live series:\n got %s\nwant %s", base, oldBase)
 	}
 }

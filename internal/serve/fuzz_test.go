@@ -67,12 +67,11 @@ func FuzzImportEnvelope(f *testing.F) {
 
 // snapshotState is the part of a snapshot that restore carries over
 // verbatim. Restore re-derives Stats.Peak from the working set, and
-// the retained periods and the live series may come back re-ordered or
-// with empty lists as null, so only their lengths are kept.
+// the retained periods may come back re-ordered or with empty lists as
+// null, so only their count is kept.
 func snapshotState(s *learner.Snapshot) learner.Snapshot {
 	c := *s
 	c.Stats.Peak = 0
-	c.Stats.PeriodLive = make([]int, len(s.Stats.PeriodLive))
 	c.Retained = make([]learner.SnapshotPeriod, len(s.Retained))
 	return c
 }

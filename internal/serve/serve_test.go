@@ -552,10 +552,11 @@ func TestAPIRejections(t *testing.T) {
 
 // TestLearnOptionLimits: learner options come from network peers, so
 // none may size an allocation or a goroutine pool unchecked. A create
-// request or an imported envelope that still carries the retired
-// "workers" option is accepted, whatever its value, and learns the
-// same model as one without it; a huge retain_periods allocates its
-// ring on demand and round-trips through export and import.
+// request or an imported envelope that still carries a retired option
+// ("workers", whatever its value, or "period_live_cap", in an
+// envelope's options and its snapshot alike) is accepted and learns
+// the same model as one without it; a huge retain_periods allocates
+// its ring on demand and round-trips through export and import.
 func TestLearnOptionLimits(t *testing.T) {
 	sv := New(Config{})
 	ts := httptest.NewServer(sv.Handler())
@@ -566,13 +567,15 @@ func TestLearnOptionLimits(t *testing.T) {
 	c.createStream(CreateStreamRequest{ID: "plain", Tasks: []string{"t1", "t2"}})
 	c.feed("plain", feed)
 	want := c.model("plain")
-	body := []byte(`{"id":"many","tasks":["t1","t2"],"options":{"workers":1099511627776}}`)
-	if resp, out := c.do("POST", "/v1/streams", body); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create with a workers field: %d %s, want 201", resp.StatusCode, out)
-	}
-	c.feed("many", feed)
-	if got := c.model("many"); !reflect.DeepEqual(got.Hypotheses, want.Hypotheses) {
-		t.Fatalf("model with a workers field %v, want %v", got.Hypotheses, want.Hypotheses)
+	for id, opt := range map[string]string{"many": `"workers":1099511627776`, "capped": `"period_live_cap":64`} {
+		body := []byte(`{"id":"` + id + `","tasks":["t1","t2"],"options":{` + opt + `}}`)
+		if resp, out := c.do("POST", "/v1/streams", body); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create with %s: %d %s, want 201", opt, resp.StatusCode, out)
+		}
+		c.feed(id, feed)
+		if got := c.model(id); !reflect.DeepEqual(got.Hypotheses, want.Hypotheses) {
+			t.Fatalf("model with %s %v, want %v", opt, got.Hypotheses, want.Hypotheses)
+		}
 	}
 
 	c.createStream(CreateStreamRequest{ID: "ring", Tasks: []string{"t1", "t2"},
@@ -590,25 +593,34 @@ func TestLearnOptionLimits(t *testing.T) {
 		t.Fatalf("imported model %v, want %v", after.Hypotheses, before.Hypotheses)
 	}
 
-	env, _, err = sv.ExportStream("ring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env, err = withWorkersOption(env); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.ImportStream(env, learned); err != nil {
-		t.Fatalf("import with a workers field: %v", err)
-	}
-	if after := c.model("ring"); !reflect.DeepEqual(after.Hypotheses, before.Hypotheses) {
-		t.Fatalf("model imported with a workers field %v, want %v", after.Hypotheses, before.Hypotheses)
+	for _, retired := range []struct {
+		key, value string
+		inSnapshot bool
+	}{
+		{"workers", "1099511627776", false},
+		{"period_live_cap", "64", true},
+	} {
+		env, _, err = sv.ExportStream("ring")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if env, err = withRetiredOption(env, retired.key, retired.value, retired.inSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.ImportStream(env, learned); err != nil {
+			t.Fatalf("import with a %s field: %v", retired.key, err)
+		}
+		if after := c.model("ring"); !reflect.DeepEqual(after.Hypotheses, before.Hypotheses) {
+			t.Fatalf("model imported with a %s field %v, want %v", retired.key, after.Hypotheses, before.Hypotheses)
+		}
 	}
 }
 
-// withWorkersOption adds `"workers": 1<<40` to an envelope's learner
-// options, leaving every other byte of the envelope as it was.
-func withWorkersOption(env []byte) ([]byte, error) {
-	var cf, info, opts map[string]json.RawMessage
+// withRetiredOption adds `"key": value` to an envelope's learner
+// options and, with inSnapshot, to its learner snapshot, leaving every
+// field of the envelope as it was.
+func withRetiredOption(env []byte, key, value string, inSnapshot bool) ([]byte, error) {
+	var cf, info, opts, snap map[string]json.RawMessage
 	if err := json.Unmarshal(env, &cf); err != nil {
 		return nil, err
 	}
@@ -618,13 +630,22 @@ func withWorkersOption(env []byte) ([]byte, error) {
 	if err := json.Unmarshal(info["options"], &opts); err != nil {
 		return nil, err
 	}
-	opts["workers"] = json.RawMessage("1099511627776")
+	opts[key] = json.RawMessage(value)
 	var err error
 	if info["options"], err = json.Marshal(opts); err != nil {
 		return nil, err
 	}
 	if cf["info"], err = json.Marshal(info); err != nil {
 		return nil, err
+	}
+	if inSnapshot {
+		if err := json.Unmarshal(cf["snapshot"], &snap); err != nil {
+			return nil, err
+		}
+		snap[key] = json.RawMessage(value)
+		if cf["snapshot"], err = json.Marshal(snap); err != nil {
+			return nil, err
+		}
 	}
 	return json.Marshal(cf)
 }

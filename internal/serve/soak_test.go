@@ -25,10 +25,8 @@ import (
 // tests cannot: every stream still converges to the batch-learner
 // model, no goroutine outlives its stream, and heap usage returns to
 // (near) baseline once the streams are gone — i.e. per-stream state
-// really is bounded (the retention ring, the ingest queue, and the
-// PeriodLive series these streams cap by opting in with
-// PeriodLiveCap; a stream created without the option keeps one entry
-// per learned period) and really is released.
+// really is bounded (the retention ring and the ingest queue; the
+// engine counters are fixed-size) and really is released.
 //
 // Run it with the soak build tag, e.g. `make soak`.
 func TestSoak(t *testing.T) {
@@ -42,7 +40,7 @@ func TestSoak(t *testing.T) {
 	// baseline, so trace memory is not attributed to the server.
 	traces := make([]*trace.Trace, nStreams)
 	wantLUB := make([]string, nStreams)
-	opt := LearnOptions{Bound: 8, RetainPeriods: 4, PeriodLiveCap: 64}
+	opt := LearnOptions{Bound: 8, RetainPeriods: 4}
 	for i := range traces {
 		out, err := sim.Run(model.Figure1(), sim.Options{Periods: nPeriods, Seed: int64(100 + i)})
 		if err != nil {
@@ -110,11 +108,6 @@ func TestSoak(t *testing.T) {
 		st := c.stats(id)
 		if st.PeriodsLearned != len(traces[i].Periods) {
 			t.Errorf("stream %s learned %d periods, fed %d", id, st.PeriodsLearned, len(traces[i].Periods))
-		}
-		// PeriodLiveCap bounds the live-count series however long the
-		// stream runs.
-		if got := len(st.Engine.PeriodLive); got > opt.PeriodLiveCap {
-			t.Errorf("stream %s PeriodLive holds %d samples, cap is %d", id, got, opt.PeriodLiveCap)
 		}
 	}
 

@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/conformance"
 	"github.com/blackbox-rt/modelgen/internal/learner"
+	"github.com/blackbox-rt/modelgen/internal/model"
 	"github.com/blackbox-rt/modelgen/internal/obs"
+	"github.com/blackbox-rt/modelgen/internal/sim"
 	"github.com/blackbox-rt/modelgen/internal/trace"
 )
 
@@ -276,6 +279,69 @@ func TestCompactEndpoint(t *testing.T) {
 	cNone.createStream(CreateStreamRequest{ID: "cmp", Tasks: []string{"t1", "t2"}})
 	if resp, _ := cNone.do("POST", "/v1/streams/cmp/compact", nil); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("compact without store: %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestCheckpointSizeIndependentOfLength: a converged stream's durable
+// state grows with its model, not with its trace. After 40 and after
+// 440 learned periods of the same Figure 1 simulation, the compacted
+// base envelope and the /stats body differ by at most a few counter
+// digits.
+func TestCheckpointSizeIndependentOfLength(t *testing.T) {
+	const (
+		first, total = 40, 440
+		chunk        = 40
+		slack        = 64 // bytes of wider counters
+	)
+	out, err := sim.Run(model.Figure1(), sim.Options{Periods: total, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := out.Trace
+	sv := New(Config{CheckpointDir: t.TempDir()})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	c := newClient(t, ts)
+	c.createStream(CreateStreamRequest{ID: "long", Tasks: tr.Tasks, Options: LearnOptions{Bound: 8}})
+
+	fed := 0
+	// feedTo feeds periods up to n, compacts, and returns the base
+	// envelope's size on disk and the /stats body's size.
+	feedTo := func(n int) (base, stats int) {
+		for ; fed < n; fed += chunk {
+			part := &trace.Trace{Tasks: tr.Tasks, Periods: tr.Periods[fed:min(fed+chunk, n)]}
+			c.feed("long", part.String()+"period\n")
+			waitLearned(t, c, "long", min(fed+chunk, n))
+		}
+		resp, body := c.do("POST", "/v1/streams/long/compact", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("compact: %d %s", resp.StatusCode, body)
+		}
+		var cr CompactResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Periods != n {
+			t.Fatalf("compacted %d periods, want %d", cr.Periods, n)
+		}
+		fi, err := os.Stat(cr.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sb := c.do("GET", "/v1/streams/long/stats", nil)
+		return int(fi.Size()), len(sb)
+	}
+	shortBase, shortStats := feedTo(first)
+	shortModel := c.model("long")
+	longBase, longStats := feedTo(total)
+	if !reflect.DeepEqual(c.model("long").Hypotheses, shortModel.Hypotheses) {
+		t.Fatalf("stream not converged after %d periods: the size comparison needs an unchanged model", first)
+	}
+	if longBase > shortBase+slack {
+		t.Errorf("base envelope grew from %d B after %d periods to %d B after %d", shortBase, first, longBase, total)
+	}
+	if longStats > shortStats+slack {
+		t.Errorf("/stats body grew from %d B after %d periods to %d B after %d", shortStats, first, longStats, total)
 	}
 }
 
