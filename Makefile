@@ -8,6 +8,7 @@ check: vet build race conform
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags soak ./internal/serve/ ./internal/load/
 
 build:
 	$(GO) build ./...

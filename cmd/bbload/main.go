@@ -77,21 +77,28 @@ func main() {
 	)
 	flag.Parse()
 
-	if *restart {
-		os.Exit(runRestart(*restartDir, *streams, *active, *periods, *queue, *jsonOut, *sloGate))
-	}
-	if *clusterRun {
-		os.Exit(runCluster(clusterArgs{
-			nodes:      *clusterN,
-			streams:    *streams,
-			periods:    *clusterPer,
-			migrations: *clusterMig,
-			queue:      *queue,
-			p99:        sloP99.Seconds(),
-			avail:      *sloAvail,
-			jsonOut:    *jsonOut,
-			sloGate:    *sloGate,
-		}))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch {
+	case *restart:
+		os.Exit(runRestart(ctx, *restartDir, load.RestartConfig{
+			Streams:    *streams,
+			Active:     *active,
+			Periods:    *periods,
+			QueueDepth: *queue,
+		}, *jsonOut, *sloGate))
+	case *clusterRun:
+		os.Exit(runCluster(ctx, load.ClusterConfig{
+			Nodes:      *clusterN,
+			Streams:    *streams,
+			Periods:    *clusterPer,
+			Migrations: *clusterMig,
+			QueueDepth: *queue,
+			SLO: load.Thresholds{
+				P99LatencySeconds: sloP99.Seconds(),
+				MinAvailability:   *sloAvail,
+			},
+		}, *jsonOut, *sloGate))
 	}
 
 	thr := load.Thresholds{
@@ -143,123 +150,38 @@ func main() {
 		log.Printf("target %s: %d streams, %s", *addr, *streams, *duration)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	rep, err := load.Run(ctx, cfg)
-	if err != nil {
-		log.Printf("run: %v", err)
-		os.Exit(2)
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-	} else {
-		fmt.Print(rep.Format())
-	}
-
-	leak := false
-	if sv != nil {
+	code := emit("run", rep, err, *jsonOut, *sloGate)
+	if sv != nil && err == nil {
 		stopMon()
 		shCtx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		defer cancel()
-		if err := sv.Shutdown(shCtx); err != nil {
+		err := sv.Shutdown(shCtx)
+		cancel()
+		if err != nil {
 			log.Printf("shutdown: %v", err)
 			os.Exit(2)
 		}
-		leak = !goroutinesSettled(baseline)
-		if leak {
+		if !goroutinesSettled(baseline) {
 			log.Printf("goroutine leak: %d at start, %d after shutdown",
 				baseline, runtime.NumGoroutine())
+			code = 3
 		}
 	}
-
-	switch {
-	case leak:
-		os.Exit(3)
-	case *sloGate && rep.Violated():
-		os.Exit(1)
-	}
+	os.Exit(code)
 }
 
-// clusterArgs carries the cluster scenario's CLI surface.
-type clusterArgs struct {
-	nodes, streams, periods, migrations, queue int
-	p99, avail                                 float64
-	jsonOut, sloGate                           bool
+// report is what every scenario hands back.
+type report interface {
+	Format() string
+	Violated() bool
 }
 
-// runCluster executes the cluster scenario: an in-process N-node
-// cluster behind a bbgate router, the stream fleet fed through the
-// gateway, and forced checkpoint-handoff migrations mid-run. Exit
-// codes follow the shared conventions (1 = SLO violation under -slo,
-// 2 = run error).
-func runCluster(a clusterArgs) int {
-	dir, err := os.MkdirTemp("", "bbload-cluster-*")
+// emit prints a scenario's outcome — the report as JSON or text, or
+// the run error — and maps it to the exit code: 2 on a run error, 1
+// on a violated gate under -slo, else 0.
+func emit(scenario string, rep report, err error, jsonOut, sloGate bool) int {
 	if err != nil {
-		log.Printf("cluster: %v", err)
-		return 2
-	}
-	defer os.RemoveAll(dir)
-	log.Printf("cluster scenario: %d nodes, %d streams × %d periods, %d forced migrations",
-		a.nodes, a.streams, a.periods, a.migrations)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := load.RunCluster(ctx, load.ClusterConfig{
-		Dir:        dir,
-		Nodes:      a.nodes,
-		Streams:    a.streams,
-		Periods:    a.periods,
-		Migrations: a.migrations,
-		QueueDepth: a.queue,
-		SLO: load.Thresholds{
-			P99LatencySeconds: a.p99,
-			MinAvailability:   a.avail,
-		},
-	})
-	if err != nil {
-		log.Printf("cluster: %v", err)
-		return 2
-	}
-	if a.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
-	} else {
-		fmt.Print(rep.Format())
-	}
-	if a.sloGate && rep.Violated() {
-		return 1
-	}
-	return 0
-}
-
-// runRestart executes the cold-restart scenario and returns the exit
-// code under the shared conventions (1 = violated contract under
-// -slo, 2 = run error).
-func runRestart(dir string, streams, active, periods, queue int, jsonOut, sloGate bool) int {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "bbload-restart-*")
-		if err != nil {
-			log.Printf("restart: %v", err)
-			return 2
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	log.Printf("restart scenario: %d streams (%d active), store %s", streams, active, dir)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	rep, err := load.RunRestart(ctx, load.RestartConfig{
-		Dir:        dir,
-		Streams:    streams,
-		Active:     active,
-		Periods:    periods,
-		QueueDepth: queue,
-	})
-	if err != nil {
-		log.Printf("restart: %v", err)
+		log.Printf("%s: %v", scenario, err)
 		return 2
 	}
 	if jsonOut {
@@ -273,6 +195,42 @@ func runRestart(dir string, streams, active, periods, queue int, jsonOut, sloGat
 		return 1
 	}
 	return 0
+}
+
+// runCluster executes the cluster scenario on a temporary store: an
+// in-process N-node cluster behind a bbgate router, the stream fleet
+// fed through the gateway, and forced checkpoint-handoff migrations
+// mid-run.
+func runCluster(ctx context.Context, cfg load.ClusterConfig, jsonOut, sloGate bool) int {
+	dir, err := os.MkdirTemp("", "bbload-cluster-*")
+	if err != nil {
+		log.Printf("cluster: %v", err)
+		return 2
+	}
+	defer os.RemoveAll(dir)
+	cfg.Dir = dir
+	log.Printf("cluster scenario: %d nodes, %d streams × %d periods, %d forced migrations",
+		cfg.Nodes, cfg.Streams, cfg.Periods, cfg.Migrations)
+	rep, err := load.RunCluster(ctx, cfg)
+	return emit("cluster", rep, err, jsonOut, sloGate)
+}
+
+// runRestart executes the cold-restart scenario on dir, or on a
+// temporary store when dir is empty.
+func runRestart(ctx context.Context, dir string, cfg load.RestartConfig, jsonOut, sloGate bool) int {
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "bbload-restart-*")
+		if err != nil {
+			log.Printf("restart: %v", err)
+			return 2
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	cfg.Dir = dir
+	log.Printf("restart scenario: %d streams (%d active), store %s", cfg.Streams, cfg.Active, dir)
+	rep, err := load.RunRestart(ctx, cfg)
+	return emit("restart", rep, err, jsonOut, sloGate)
 }
 
 // goroutinesSettled waits for the goroutine count to return to (near)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -320,26 +321,39 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) listNode(r *http.Request, node string) ([]serve.StreamInfo, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, g.backends[node].URL+"/v1/streams", nil)
+	var infos []serve.StreamInfo
+	err := g.call(r.Context(), node, http.MethodGet, "/v1/streams", nil, nil, http.StatusOK, &infos)
+	return infos, err
+}
+
+// call sends one gateway-originated request (not a proxied one) to a
+// node: it counts a transport failure in MetricProxyErrors, turns any
+// status but want into an error carrying the body's first bytes, and
+// decodes the answer into out unless out is nil.
+func (g *Gateway) call(ctx context.Context, node, method, path string, body []byte, hdr map[string]string, want int, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, g.backends[node].URL+path, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return err
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
 	}
 	resp, err := g.client(node).Do(req)
 	if err != nil {
 		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
 			c.Inc()
 		}
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	if resp.StatusCode != want {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var infos []serve.StreamInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		return nil, err
+	if out == nil {
+		return nil
 	}
-	return infos, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // RingResponse is the body of GET /cluster/ring.
@@ -479,25 +493,10 @@ func (g *Gateway) Migrate(id, target string) error {
 }
 
 func (g *Gateway) handoff(node, id string, epoch uint64) (*HandoffResponse, error) {
-	req, err := http.NewRequest(http.MethodPost, g.backends[node].URL+"/cluster/handoff/"+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	resp, err := g.client(node).Do(req)
-	if err != nil {
-		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
-			c.Inc()
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
 	var hr HandoffResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+	err := g.call(context.TODO(), node, http.MethodPost, "/cluster/handoff/"+id, nil,
+		map[string]string{EpochHeader: strconv.FormatUint(epoch, 10)}, http.StatusOK, &hr)
+	if err != nil {
 		return nil, err
 	}
 	return &hr, nil
@@ -508,24 +507,8 @@ func (g *Gateway) importTo(node string, hr *HandoffResponse, epoch uint64) error
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPost, g.backends[node].URL+"/cluster/import", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := g.client(node).Do(req)
-	if err != nil {
-		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
-			c.Inc()
-		}
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return nil
+	return g.call(context.TODO(), node, http.MethodPost, "/cluster/import", body,
+		map[string]string{"Content-Type": "application/json"}, http.StatusCreated, nil)
 }
 
 // MetricsResponse is the body of the gateway's GET /cluster/metrics:
@@ -559,26 +542,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) fetchMetrics(r *http.Request, node string) (obs.Snapshot, error) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, g.backends[node].URL+"/cluster/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.client(node).Do(req)
-	if err != nil {
-		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
-			c.Inc()
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	err := g.call(r.Context(), node, http.MethodGet, "/cluster/metrics", nil, nil, http.StatusOK, &snap)
+	return snap, err
 }
 
 // mergeSnapshot folds src into dst: counters and gauges sum,

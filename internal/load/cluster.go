@@ -2,9 +2,7 @@ package load
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -38,8 +36,6 @@ type ClusterConfig struct {
 	// Migrations is how many streams are forcibly migrated to another
 	// node once half their periods are in flight (default 10).
 	Migrations int
-	// Workers bounds the concurrent feeder goroutines (default 16).
-	Workers int
 	// QueueDepth sets each node's per-stream ingest queue.
 	QueueDepth int
 	// Seed pins the placement ring.
@@ -65,16 +61,18 @@ type ClusterReport struct {
 	Errors   int64 `json:"errors"`
 	// Availability is accepted / (accepted + errors).
 	Availability float64 `json:"availability"`
-	// Ingest summarizes per-request gateway POST latency; P99 is the
-	// value the SLO gate reads.
+	// Ingest summarizes per-request gateway POST latency; P99 repeats
+	// Ingest.P99, the value the SLO gate reads.
 	Ingest Latency `json:"ingest"`
 	P99    float64 `json:"p99_seconds"`
 	// Spread is the final stream count per node.
 	Spread map[string]int `json:"spread"`
 	// Equivalence is the number of streams whose final model was
 	// verified bit-identical to the single-node reference.
-	Equivalence int      `json:"equivalence_checked"`
-	Violations  []string `json:"violations,omitempty"`
+	Equivalence int `json:"equivalence_checked"`
+	// Failures samples the first batches that never got in.
+	Failures   []Failure `json:"failures,omitempty"`
+	Violations []string  `json:"violations,omitempty"`
 }
 
 // Violated reports whether the scenario broke its gate.
@@ -90,39 +88,15 @@ func (r ClusterReport) Format() string {
 	fmt.Fprintf(&sb, "ingest: p50 %s p95 %s p99 %s max %s\n",
 		fmtSec(r.Ingest.P50), fmtSec(r.Ingest.P95), fmtSec(r.P99), fmtSec(r.Ingest.Max))
 	fmt.Fprintf(&sb, "spread: %v  models verified: %d\n", r.Spread, r.Equivalence)
-	if len(r.Violations) == 0 {
-		sb.WriteString("cluster: ok\n")
-	} else {
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "CLUSTER VIOLATION: %s\n", v)
-		}
-	}
+	formatTail(&sb, r.Failures, r.Violations, "cluster: ok\n", "CLUSTER VIOLATION")
 	return sb.String()
 }
 
 func clusterStreamID(i int) string { return fmt.Sprintf("c-%05d", i) }
 func clusterNodeName(i int) string { return fmt.Sprintf("node-%d", i) }
 
-// clusterBatch renders period k of the synthetic cluster stream shape.
-func clusterBatch(k int) string {
-	base := int64(k) * workerPeriodUS
-	return fmt.Sprintf("exec t1 %d %d\nmsg m1 %d %d\nexec t2 %d %d\nperiod\n",
-		base, base+100, base+150, base+200, base+400, base+500)
-}
-
-// clusterPeriod is the trace.Period the batch parses to, for the
-// reference learner.
-func clusterPeriod(k int) *trace.Period {
-	base := int64(k) * workerPeriodUS
-	return &trace.Period{
-		Index: k + 1,
-		Execs: map[string]trace.Interval{
-			"t1": {Start: base, End: base + 100},
-			"t2": {Start: base + 400, End: base + 500},
-		},
-		Msgs: []trace.Message{{ID: "m1", Rise: base + 150, Fall: base + 200}},
-	}
-}
+// clusterWorkers bounds the concurrent create and feed goroutines.
+const clusterWorkers = 16
 
 // RunCluster executes the cluster scenario.
 func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
@@ -143,38 +117,30 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	if cfg.Migrations > cfg.Streams {
 		cfg.Migrations = cfg.Streams
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 16
-	}
 	rep := ClusterReport{Nodes: cfg.Nodes, Streams: cfg.Streams, Periods: cfg.Periods,
 		Migrations: cfg.Migrations, Spread: map[string]int{}}
 
 	// Boot the cluster: N serve instances wrapped in cluster nodes,
 	// all reached in process through the gateway.
-	type member struct {
-		name string
-		sv   *serve.Server
-	}
-	members := make([]member, cfg.Nodes)
+	servers := make([]*serve.Server, cfg.Nodes)
 	backends := make([]cluster.Backend, cfg.Nodes)
-	for i := range members {
+	for i := range servers {
 		dir := ""
 		if cfg.Dir != "" {
 			dir = filepath.Join(cfg.Dir, clusterNodeName(i))
 		}
 		reg := obs.NewRegistry()
-		sv := serve.New(serve.Config{CheckpointDir: dir, QueueDepth: cfg.QueueDepth, Registry: reg})
-		node := cluster.NewNode(cluster.NodeConfig{ID: clusterNodeName(i), Server: sv, Registry: reg})
-		members[i] = member{name: clusterNodeName(i), sv: sv}
+		servers[i] = serve.New(serve.Config{CheckpointDir: dir, QueueDepth: cfg.QueueDepth, Registry: reg})
+		node := cluster.NewNode(cluster.NodeConfig{ID: clusterNodeName(i), Server: servers[i], Registry: reg})
 		backends[i] = cluster.Backend{
 			Name:   clusterNodeName(i),
 			URL:    "http://" + clusterNodeName(i),
-			Client: &http.Client{Transport: inprocTransport{h: node.Handler()}},
+			Client: inproc(node.Handler()).c,
 		}
 	}
 	defer func() {
-		for _, m := range members {
-			_ = m.sv.Shutdown(context.Background())
+		for _, sv := range servers {
+			_ = sv.Shutdown(context.Background())
 		}
 	}()
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
@@ -186,37 +152,13 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	tgt := &target{base: "http://bbgate.inproc",
-		c: &http.Client{Transport: inprocTransport{h: gw.Handler()}}}
+	tgt := inproc(gw.Handler())
 
 	// Create the fleet through the gateway.
-	sem := make(chan struct{}, cfg.Workers)
-	var wg sync.WaitGroup
-	errOnce := make(chan error, 1)
-	for i := 0; i < cfg.Streams; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			body := fmt.Sprintf(`{"id":%q,"tasks":["t1","t2"]}`, clusterStreamID(i))
-			code, _, out, err := tgt.do(ctx, "POST", "/v1/streams", []byte(body), nil)
-			if err == nil && code != http.StatusCreated {
-				err = fmt.Errorf("status %d: %s", code, out)
-			}
-			if err != nil {
-				select {
-				case errOnce <- fmt.Errorf("load: create %s: %w", clusterStreamID(i), err):
-				default:
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errOnce:
+	if err := fanOut(ctx, cfg.Streams, clusterWorkers, func(i int) error {
+		return tgt.create(ctx, serve.CreateStreamRequest{ID: clusterStreamID(i)})
+	}); err != nil {
 		return rep, err
-	default:
 	}
 
 	// Feed phase. Each stream sends its periods in order; once half
@@ -232,13 +174,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 		halfwayOnce sync.Once
 		latMu       sync.Mutex
 		latencies   []float64
+		failures    failureSample
 		migFailures atomic.Int64
 		migDone     = make(chan struct{})
-		nodeOf      = func(name string) int { // index of a node name
-			var i int
-			fmt.Sscanf(name, "node-%d", &i)
-			return i
-		}
 	)
 	go func() {
 		defer close(migDone)
@@ -250,52 +188,47 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 		for i := 0; i < cfg.Migrations; i++ {
 			id := clusterStreamID(i)
 			owner, _ := gw.Owner(id)
-			target := clusterNodeName((nodeOf(owner) + 1) % cfg.Nodes)
-			if err := gw.Migrate(id, target); err != nil {
+			var n int
+			fmt.Sscanf(owner, "node-%d", &n)
+			if err := gw.Migrate(id, clusterNodeName((n+1)%cfg.Nodes)); err != nil {
 				migFailures.Add(1)
 			}
 		}
 	}()
-	for i := 0; i < cfg.Streams; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			id := clusterStreamID(i)
-			for k := 0; k < cfg.Periods; k++ {
-				batch := []byte(clusterBatch(k))
-				deadline := time.Now().Add(30 * time.Second)
-				for {
-					t0 := time.Now()
-					code, _, _, err := tgt.do(ctx, "POST", "/v1/streams/"+id+"/events", batch, nil)
-					lat := time.Since(t0).Seconds()
-					if err == nil && code == http.StatusAccepted {
-						latMu.Lock()
-						latencies = append(latencies, lat)
-						latMu.Unlock()
-						if sentBatches.Add(1) >= halfway {
-							halfwayOnce.Do(func() { close(halfwayCh) })
-						}
-						break
+	feedErr := fanOut(ctx, cfg.Streams, clusterWorkers, func(i int) error {
+		id := clusterStreamID(i)
+		for k := 0; k < cfg.Periods; k++ {
+			batch := []byte(renderBatch(k, 1, false, 0))
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				o := tgt.post(ctx, id, batch, nil)
+				if o.kind == accepted {
+					latMu.Lock()
+					latencies = append(latencies, o.latency)
+					latMu.Unlock()
+					if sentBatches.Add(1) >= halfway {
+						halfwayOnce.Do(func() { close(halfwayCh) })
 					}
-					transient := err == nil && (code == http.StatusTooManyRequests ||
-						code == http.StatusServiceUnavailable || code == http.StatusBadGateway)
-					if !transient || time.Now().After(deadline) {
-						errs.Add(1)
-						break
-					}
-					retries.Add(1)
-					time.Sleep(2 * time.Millisecond)
+					break
 				}
+				if o.kind == failed || time.Now().After(deadline) {
+					errs.Add(1)
+					failures.add(id, o)
+					break
+				}
+				retries.Add(1)
+				time.Sleep(2 * time.Millisecond)
 			}
-		}(i)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	// A short fleet never reaches halfway from inside the loop when
 	// batches error out; release the migration goroutine regardless.
 	halfwayOnce.Do(func() { close(halfwayCh) })
 	<-migDone
+	if feedErr != nil {
+		return rep, feedErr
+	}
 
 	rep.Retries = retries.Load()
 	rep.Errors = errs.Load()
@@ -303,14 +236,9 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	if rep.Requests > 0 {
 		rep.Availability = float64(sentBatches.Load()) / float64(rep.Requests)
 	}
-	latMu.Lock()
-	samples := append([]float64(nil), latencies...)
-	latMu.Unlock()
-	rep.Ingest = summarizeLatency(samples)
-	if len(samples) > 0 {
-		_, _, p99 := quantiles(samples)
-		rep.P99 = p99
-	}
+	rep.Ingest = summarize(latencies)
+	rep.P99 = rep.Ingest.P99
+	rep.Failures = failures.list
 	rep.MigrationFailures = int(migFailures.Load())
 
 	// Equivalence oracle: every stream's served model must equal the
@@ -323,14 +251,8 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 		id := clusterStreamID(i)
 		node, _ := gw.Owner(id)
 		rep.Spread[node]++
-		code, _, out, err := tgt.do(ctx, "GET", "/v1/streams/"+id+"/model", nil, nil)
-		if err != nil || code != http.StatusOK {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("cluster: model %s: code %d err %v", id, code, err))
-			continue
-		}
 		var m serve.ModelResponse
-		if err := json.Unmarshal(out, &m); err != nil {
+		if err := tgt.getJSON(ctx, "/v1/streams/"+id+"/model", &m); err != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("cluster: model %s: %v", id, err))
 			continue
 		}
@@ -345,13 +267,21 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	return rep, nil
 }
 
+// clusterReference learns the fleet's period sequence on a single
+// node: the text the streams were fed, read back through trace's own
+// reader.
 func clusterReference(periods int) ([]string, string, error) {
-	o, err := learner.NewOnline([]string{"t1", "t2"}, learner.Options{})
+	text := "tasks " + strings.Join(fleetTasks, " ") + "\n" + renderBatch(0, periods, false, 0)
+	tr, err := trace.ReadString(text)
 	if err != nil {
 		return nil, "", err
 	}
-	for k := 0; k < periods; k++ {
-		if err := o.AddPeriod(clusterPeriod(k)); err != nil {
+	o, err := learner.NewOnline(tr.Tasks, learner.Options{})
+	if err != nil {
+		return nil, "", err
+	}
+	for _, p := range tr.Periods {
+		if err := o.AddPeriod(p); err != nil {
 			return nil, "", err
 		}
 	}

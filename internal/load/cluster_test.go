@@ -22,7 +22,6 @@ func TestRunClusterSmoke(t *testing.T) {
 		Streams:    48,
 		Periods:    6,
 		Migrations: 6,
-		Workers:    12,
 		Seed:       7,
 		SLO:        DefaultThresholds(),
 	}
@@ -32,7 +31,7 @@ func TestRunClusterSmoke(t *testing.T) {
 	}
 	t.Logf("\n%s", rep.Format())
 	if rep.Violated() {
-		t.Fatalf("cluster SLO gate failed:\n%s", strings.Join(rep.Violations, "\n"))
+		t.Fatalf("cluster SLO gate failed:\n%s\nfailures: %v", strings.Join(rep.Violations, "\n"), rep.Failures)
 	}
 	if rep.Equivalence != cfg.Streams {
 		t.Fatalf("verified %d of %d models", rep.Equivalence, cfg.Streams)

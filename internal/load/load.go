@@ -20,10 +20,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/blackbox-rt/modelgen/internal/serve"
 )
 
 // Class names a synthetic traffic shape.
@@ -82,14 +83,11 @@ type Config struct {
 	TraceSample float64
 	// SLO holds the thresholds evaluated into Report.Violations.
 	SLO Thresholds
-	// Cleanup deletes the synthetic streams after the run (default
-	// keeps them; bbload's in-process mode shuts the server down
-	// instead).
+	// Cleanup deletes the synthetic streams after the run, also when
+	// ctx was cancelled (default keeps them; bbload's in-process mode
+	// shuts the server down instead). A run that fails to create its
+	// fleet deletes the streams it made either way.
 	Cleanup bool
-	// MaxInFlight caps concurrent outstanding requests (default
-	// 4×Streams, at least 64). When the cap is hit the open-loop
-	// schedule stalls, which shows up as latency, not as lost sends.
-	MaxInFlight int
 	// DriftFlipAfter, when positive, turns the run into a
 	// drift-injection scenario: every stream is created with the drift
 	// monitor enabled, batches are sent synchronously (the detector's
@@ -157,11 +155,13 @@ type DriftReport struct {
 
 // Report is the outcome of a run.
 type Report struct {
-	Duration   time.Duration `json:"duration_ns"`
-	Classes    []ClassReport `json:"classes"`
-	Total      ClassReport   `json:"total"`
-	Drift      *DriftReport  `json:"drift,omitempty"`
-	Violations []string      `json:"violations,omitempty"`
+	Duration time.Duration `json:"duration_ns"`
+	Classes  []ClassReport `json:"classes"`
+	Total    ClassReport   `json:"total"`
+	Drift    *DriftReport  `json:"drift,omitempty"`
+	// Failures samples the first requests that did not get in.
+	Failures   []Failure `json:"failures,omitempty"`
+	Violations []string  `json:"violations,omitempty"`
 }
 
 // Violated reports whether any SLO threshold was breached.
@@ -186,13 +186,7 @@ func (r Report) Format() string {
 		fmt.Fprintf(&sb, "drift: flip@%d window=%d streams=%d detected=%d undetected=%d false=%d max_lag=%d\n",
 			d.FlipAfter, d.Window, d.Streams, d.Detected, d.Undetected, d.FalseAlarms, d.MaxLag)
 	}
-	if len(r.Violations) == 0 {
-		sb.WriteString("SLO: ok\n")
-	} else {
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "SLO VIOLATION: %s\n", v)
-		}
-	}
+	formatTail(&sb, r.Failures, r.Violations, "SLO: ok\n", "SLO VIOLATION")
 	return sb.String()
 }
 
@@ -239,12 +233,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if cfg.CandumpFraction == 0 {
 		cfg.CandumpFraction = 0.5
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 4 * cfg.Streams
-		if cfg.MaxInFlight < 64 {
-			cfg.MaxInFlight = 64
-		}
-	}
 	if cfg.DriftWindow <= 0 {
 		cfg.DriftWindow = 20
 	}
@@ -258,29 +246,36 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		ClassText:    {streams: cfg.Streams - nCan},
 		ClassCandump: {streams: nCan},
 	}
+	failures := &failureSample{}
 	workers := make([]*worker, 0, cfg.Streams)
+	ids := make([]string, 0, cfg.Streams)
 	for i := 0; i < cfg.Streams; i++ {
 		class := ClassText
 		if i < nCan {
 			class = ClassCandump
 		}
 		w := &worker{
-			id:     fmt.Sprintf("load-%s-%d", class, i),
-			class:  class,
-			cfg:    &cfg,
-			client: client,
-			stats:  stats[class],
-			rng:    rand.New(rand.NewSource(int64(i) + 1)),
+			id:       fmt.Sprintf("load-%s-%d", class, i),
+			class:    class,
+			cfg:      &cfg,
+			client:   client,
+			stats:    stats[class],
+			failures: failures,
+			rng:      rand.New(rand.NewSource(int64(i) + 1)),
 		}
-		if err := w.createStream(ctx); err != nil {
-			return Report{}, fmt.Errorf("load: create stream %s: %w", w.id, err)
+		if err := client.create(ctx, w.createRequest()); err != nil {
+			client.deleteStreams(ctx, ids)
+			return Report{}, err
 		}
 		workers = append(workers, w)
+		ids = append(ids, w.id)
 	}
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
-	sem := make(chan struct{}, cfg.MaxInFlight)
+	// When the in-flight cap is hit the open-loop schedule stalls,
+	// which shows up as latency, not as lost sends.
+	sem := make(chan struct{}, max(4*cfg.Streams, 64))
 	var wg, inflight sync.WaitGroup
 	start := time.Now()
 	for _, w := range workers {
@@ -298,15 +293,14 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	elapsed := time.Since(start)
 
 	rep := buildReport(cfg, elapsed, stats)
+	rep.Failures = failures.list
 	if cfg.DriftFlipAfter > 0 {
 		// Collected under the caller's context: runCtx has expired.
 		rep.Drift = collectDrift(ctx, cfg, workers)
 		rep.Violations = append(rep.Violations, evaluateDrift(rep.Drift)...)
 	}
 	if cfg.Cleanup {
-		for _, w := range workers {
-			w.deleteStream(ctx)
-		}
+		client.deleteStreams(ctx, ids)
 	}
 	return rep, nil
 }
@@ -320,12 +314,14 @@ func collectDrift(ctx context.Context, cfg Config, workers []*worker) *DriftRepo
 	// small slack before calling an alarm misplaced.
 	const slack = 2
 	for _, w := range workers {
-		st, err := w.driftState(ctx)
-		if err != nil {
+		var resp serve.DriftResponse
+		err := w.client.getJSON(ctx, "/v1/streams/"+w.id+"/drift", &resp)
+		if err != nil || resp.State == nil {
 			dr.Undetected++
 			dr.Entries = append(dr.Entries, DriftStream{ID: w.id, Expected: w.flipPoint()})
 			continue
 		}
+		st := resp.State
 		e := DriftStream{
 			ID:          w.id,
 			Expected:    w.flipPoint(),
@@ -374,46 +370,33 @@ func evaluateDrift(dr *DriftReport) []string {
 
 func buildReport(cfg Config, elapsed time.Duration, stats map[Class]*classStats) Report {
 	rep := Report{Duration: elapsed}
-	total := ClassReport{Class: "total", Streams: cfg.Streams}
-	var allSamples []float64
+	total := &classStats{streams: cfg.Streams}
 	for _, class := range []Class{ClassText, ClassCandump} {
 		st := stats[class]
 		if st.streams == 0 {
 			continue
 		}
-		c := summarize(string(class), st, elapsed)
-		allSamples = append(allSamples, st.samples...)
-		total.Requests += c.Requests
-		total.Shed += c.Shed
-		total.Errors += c.Errors
-		total.Lines += c.Lines
-		total.Periods += c.Periods
-		rep.Classes = append(rep.Classes, c)
+		rep.Classes = append(rep.Classes, st.report(string(class), elapsed))
+		total.requests += st.requests
+		total.shed += st.shed
+		total.errors += st.errors
+		total.lines += st.lines
+		total.periods += st.periods
+		total.samples = append(total.samples, st.samples...)
 	}
-	sort.Float64s(allSamples)
-	total.P50, total.P95, total.P99 = quantiles(allSamples)
-	if sec := elapsed.Seconds(); sec > 0 {
-		total.Throughput = float64(total.Requests-total.Shed-total.Errors) / sec
-	}
-	if total.Requests > 0 {
-		total.ShedRate = float64(total.Shed) / float64(total.Requests)
-		total.Availability = 1 - float64(total.Errors)/float64(total.Requests)
-	} else {
-		total.Availability = 1
-	}
-	rep.Total = total
+	rep.Total = total.report("total", elapsed)
 	rep.Violations = evaluate(cfg.SLO, rep)
 	return rep
 }
 
-func summarize(name string, st *classStats, elapsed time.Duration) ClassReport {
+func (st *classStats) report(name string, elapsed time.Duration) ClassReport {
+	lat := summarize(st.samples)
 	c := ClassReport{
 		Class: name, Streams: st.streams,
 		Requests: st.requests, Shed: st.shed, Errors: st.errors,
 		Lines: st.lines, Periods: st.periods,
+		P50: lat.P50, P95: lat.P95, P99: lat.P99,
 	}
-	sort.Float64s(st.samples)
-	c.P50, c.P95, c.P99 = quantiles(st.samples)
 	if sec := elapsed.Seconds(); sec > 0 {
 		c.Throughput = float64(c.Requests-c.Shed-c.Errors) / sec
 	}
@@ -424,17 +407,6 @@ func summarize(name string, st *classStats, elapsed time.Duration) ClassReport {
 		c.Availability = 1
 	}
 	return c
-}
-
-func quantiles(sorted []float64) (p50, p95, p99 float64) {
-	q := func(p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	return q(0.50), q(0.95), q(0.99)
 }
 
 // evaluate turns threshold breaches into violation strings. Per-class

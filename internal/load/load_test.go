@@ -2,6 +2,8 @@ package load
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -181,5 +183,70 @@ func TestReportFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunNamesFailedRequests pins the report's failure sample: a
+// server that refuses one stream's events with 409 must see that
+// stream and status named in the report, and the sample stays bounded.
+func TestRunNamesFailedRequests(t *testing.T) {
+	stub := http.NewServeMux()
+	stub.HandleFunc("POST /v1/streams", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusCreated)
+	})
+	stub.HandleFunc("POST /v1/streams/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		if r.PathValue("id") == "load-text-1" {
+			http.Error(w, `{"error":"stream conflict"}`, http.StatusConflict)
+			return
+		}
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = w.Write([]byte(`{"lines":4,"periods":3}`))
+	})
+	rep, err := Run(context.Background(), Config{
+		Handler:  stub,
+		Streams:  2,
+		Duration: 500 * time.Millisecond,
+		Rate:     40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total.Errors == 0 || len(rep.Failures) == 0 {
+		t.Fatalf("no failures recorded: total %+v, failures %v", rep.Total, rep.Failures)
+	}
+	if len(rep.Failures) > maxFailures {
+		t.Errorf("failure sample holds %d entries, cap %d", len(rep.Failures), maxFailures)
+	}
+	for _, f := range rep.Failures {
+		if f.Stream != "load-text-1" || f.Status != http.StatusConflict || !strings.Contains(f.Body, "stream conflict") {
+			t.Errorf("failure %+v, want load-text-1 with 409 and its body", f)
+		}
+	}
+	if out := rep.Format(); !strings.Contains(out, "failed: load-text-1: status 409") {
+		t.Errorf("report does not name the failed stream:\n%s", out)
+	}
+}
+
+// TestCleanupAfterCancel pins teardown on interrupt: a run cancelled
+// mid-load against a real socket must still delete every stream it
+// created.
+func TestCleanupAfterCancel(t *testing.T) {
+	sv := inprocServer(t, serve.Config{})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	_, err := Run(ctx, Config{
+		BaseURL:  ts.URL,
+		Streams:  4,
+		Duration: 5 * time.Second,
+		Rate:     40,
+		Cleanup:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sv.StreamCount(); n != 0 {
+		t.Fatalf("cleanup left %d streams after cancel", n)
 	}
 }

@@ -2,12 +2,8 @@ package load
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/blackbox-rt/modelgen/internal/serve"
@@ -31,18 +27,8 @@ type RestartConfig struct {
 	Active int
 	// Periods is the learned periods seeded per stream (default 3).
 	Periods int
-	// Seeders bounds the concurrent seeding workers (default 32).
-	Seeders int
 	// QueueDepth sets the server's per-stream ingest queue.
 	QueueDepth int
-}
-
-// Latency summarizes a small latency sample in seconds.
-type Latency struct {
-	P50  float64 `json:"p50_seconds"`
-	P95  float64 `json:"p95_seconds"`
-	Max  float64 `json:"max_seconds"`
-	Mean float64 `json:"mean_seconds"`
 }
 
 // RestartReport is the outcome of a cold-restart scenario.
@@ -86,19 +72,17 @@ func (r RestartReport) Format() string {
 	fmt.Fprintf(&sb, "first ingest: p50 %s p95 %s max %s mean %s\n",
 		fmtSec(r.FirstIngest.P50), fmtSec(r.FirstIngest.P95),
 		fmtSec(r.FirstIngest.Max), fmtSec(r.FirstIngest.Mean))
-	if len(r.Violations) == 0 {
-		sb.WriteString("restart: ok\n")
-	} else {
-		for _, v := range r.Violations {
-			fmt.Fprintf(&sb, "RESTART VIOLATION: %s\n", v)
-		}
-	}
+	formatTail(&sb, nil, r.Violations, "restart: ok\n", "RESTART VIOLATION")
 	return sb.String()
 }
 
 func restartStreamID(i int) string { return fmt.Sprintf("restart-%05d", i) }
 
-// RunRestart executes the cold-restart scenario.
+// seedWorkers bounds the concurrent seeding goroutines.
+const seedWorkers = 32
+
+// RunRestart executes the cold-restart scenario. Both servers it boots
+// are shut down on every return path.
 func RunRestart(ctx context.Context, cfg RestartConfig) (RestartReport, error) {
 	if cfg.Dir == "" {
 		return RestartReport{}, fmt.Errorf("load: restart scenario needs a store dir")
@@ -115,19 +99,27 @@ func RunRestart(ctx context.Context, cfg RestartConfig) (RestartReport, error) {
 	if cfg.Periods <= 0 {
 		cfg.Periods = 3
 	}
-	if cfg.Seeders <= 0 {
-		cfg.Seeders = 32
-	}
 	rep := RestartReport{Streams: cfg.Streams, Active: cfg.Active, Periods: cfg.Periods}
 
 	// Phase 1: seed. Every period is WAL-durable on consume, so a
 	// drained shutdown checkpoints the whole fleet with no explicit
 	// checkpoint calls.
 	sv := serve.New(serve.Config{CheckpointDir: cfg.Dir, QueueDepth: cfg.QueueDepth})
-	tgt := &target{base: "http://bbserved.inproc",
-		c: &http.Client{Transport: inprocTransport{h: sv.Handler()}}}
+	tgt := inproc(sv.Handler())
+	seed := []byte(renderBatch(0, cfg.Periods, false, 0))
 	t0 := time.Now()
-	if err := seedRestartStreams(ctx, tgt, cfg); err != nil {
+	err := fanOut(ctx, cfg.Streams, seedWorkers, func(i int) error {
+		id := restartStreamID(i)
+		if err := tgt.create(ctx, serve.CreateStreamRequest{ID: id}); err != nil {
+			return err
+		}
+		if o := tgt.post(ctx, id, seed, nil); o.kind != accepted {
+			return fmt.Errorf("load: seed %s", o.failure(id))
+		}
+		return nil
+	})
+	if err != nil {
+		_ = sv.Shutdown(context.WithoutCancel(ctx)) // the seed error is the one to report
 		return rep, err
 	}
 	if err := sv.Shutdown(ctx); err != nil {
@@ -138,6 +130,7 @@ func RunRestart(ctx context.Context, cfg RestartConfig) (RestartReport, error) {
 	// Phase 2: cold restart. RestoreFromDir is an index scan; nothing
 	// hydrates until touched.
 	sv2 := serve.New(serve.Config{CheckpointDir: cfg.Dir, QueueDepth: cfg.QueueDepth})
+	defer sv2.Shutdown(context.WithoutCancel(ctx))
 	t1 := time.Now()
 	n, err := sv2.RestoreFromDir()
 	rep.RestoreSeconds = time.Since(t1).Seconds()
@@ -145,102 +138,33 @@ func RunRestart(ctx context.Context, cfg RestartConfig) (RestartReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("load: restore: %w", err)
 	}
-	tgt2 := &target{base: "http://bbserved.inproc",
-		c: &http.Client{Transport: inprocTransport{h: sv2.Handler()}}}
-	defer sv2.Shutdown(context.Background())
-
-	rep.HydratedAfterRestore, err = countHydrated(ctx, tgt2)
-	if err != nil {
+	tgt2 := inproc(sv2.Handler())
+	if rep.HydratedAfterRestore, err = countHydrated(ctx, tgt2); err != nil {
 		return rep, err
 	}
 
 	// Phase 3: drive the active subset and time each stream's first
 	// ingest until the learned period is visible in /stats.
-	clock := int64(cfg.Periods) * workerPeriodUS
-	batch := fmt.Sprintf("exec t1 %d %d\nmsg m1 %d %d\nexec t2 %d %d\nperiod\n",
-		clock, clock+100, clock+150, clock+200, clock+400, clock+500)
+	batch := []byte(renderBatch(cfg.Periods, 1, false, 0))
 	samples := make([]float64, 0, cfg.Active)
 	for i := 0; i < cfg.Active; i++ {
 		id := restartStreamID(i)
 		t := time.Now()
-		code, _, out, err := tgt2.do(ctx, "POST", "/v1/streams/"+id+"/events", []byte(batch), nil)
-		if err != nil {
-			return rep, fmt.Errorf("load: first ingest %s: %w", id, err)
-		}
-		if code != http.StatusAccepted {
-			return rep, fmt.Errorf("load: first ingest %s: status %d: %s", id, code, out)
+		if o := tgt2.post(ctx, id, batch, nil); o.kind != accepted {
+			return rep, fmt.Errorf("load: first ingest %s", o.failure(id))
 		}
 		if err := waitPeriods(ctx, tgt2, id, cfg.Periods+1); err != nil {
 			return rep, err
 		}
 		samples = append(samples, time.Since(t).Seconds())
 	}
-	rep.FirstIngest = summarizeLatency(samples)
+	rep.FirstIngest = summarize(samples)
 
-	rep.HydratedAfterActive, err = countHydrated(ctx, tgt2)
-	if err != nil {
+	if rep.HydratedAfterActive, err = countHydrated(ctx, tgt2); err != nil {
 		return rep, err
 	}
 	rep.Violations = evaluateRestart(rep)
 	return rep, nil
-}
-
-// seedRestartStreams creates and feeds the fleet with a bounded
-// worker pool.
-func seedRestartStreams(ctx context.Context, tgt *target, cfg RestartConfig) error {
-	sem := make(chan struct{}, cfg.Seeders)
-	var wg sync.WaitGroup
-	errs := make(chan error, 1)
-	for i := 0; i < cfg.Streams; i++ {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := seedOne(ctx, tgt, restartStreamID(i), cfg.Periods); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
-}
-
-func seedOne(ctx context.Context, tgt *target, id string, periods int) error {
-	body := fmt.Sprintf(`{"id":%q,"tasks":["t1","t2"]}`, id)
-	code, _, out, err := tgt.do(ctx, "POST", "/v1/streams", []byte(body), nil)
-	if err != nil {
-		return fmt.Errorf("load: create %s: %w", id, err)
-	}
-	if code != http.StatusCreated {
-		return fmt.Errorf("load: create %s: status %d: %s", id, code, out)
-	}
-	var sb strings.Builder
-	for k := 0; k < periods; k++ {
-		base := int64(k) * workerPeriodUS
-		fmt.Fprintf(&sb, "exec t1 %d %d\nmsg m1 %d %d\nexec t2 %d %d\nperiod\n",
-			base, base+100, base+150, base+200, base+400, base+500)
-	}
-	code, _, out, err = tgt.do(ctx, "POST", "/v1/streams/"+id+"/events", []byte(sb.String()), nil)
-	if err != nil {
-		return fmt.Errorf("load: seed %s: %w", id, err)
-	}
-	if code != http.StatusAccepted {
-		return fmt.Errorf("load: seed %s: status %d: %s", id, code, out)
-	}
-	return nil
 }
 
 // waitPeriods polls the stream's stats until the learner has consumed
@@ -248,19 +172,9 @@ func seedOne(ctx context.Context, tgt *target, id string, periods int) error {
 func waitPeriods(ctx context.Context, tgt *target, id string, want int) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		code, _, out, err := tgt.do(ctx, "GET", "/v1/streams/"+id+"/stats", nil, nil)
-		if err != nil {
+		var st serve.StatsResponse
+		if err := tgt.getJSON(ctx, "/v1/streams/"+id+"/stats", &st); err != nil {
 			return fmt.Errorf("load: stats %s: %w", id, err)
-		}
-		if code != http.StatusOK {
-			return fmt.Errorf("load: stats %s: status %d: %s", id, code, out)
-		}
-		var st struct {
-			PeriodsLearned int    `json:"periods_learned"`
-			Err            string `json:"err"`
-		}
-		if err := json.Unmarshal(out, &st); err != nil {
-			return err
 		}
 		if st.Err != "" {
 			return fmt.Errorf("load: stream %s died: %s", id, st.Err)
@@ -281,20 +195,9 @@ func waitPeriods(ctx context.Context, tgt *target, id string, want int) error {
 
 // countHydrated reads /debug/streams and counts paged-in streams.
 func countHydrated(ctx context.Context, tgt *target) (int, error) {
-	code, _, out, err := tgt.do(ctx, "GET", "/debug/streams", nil, nil)
-	if err != nil {
+	var dbg serve.DebugStreamsResponse
+	if err := tgt.getJSON(ctx, "/debug/streams", &dbg); err != nil {
 		return 0, fmt.Errorf("load: debug streams: %w", err)
-	}
-	if code != http.StatusOK {
-		return 0, fmt.Errorf("load: debug streams: status %d: %s", code, out)
-	}
-	var dbg struct {
-		Streams []struct {
-			Hydrated bool `json:"hydrated"`
-		} `json:"streams"`
-	}
-	if err := json.Unmarshal(out, &dbg); err != nil {
-		return 0, err
 	}
 	n := 0
 	for _, s := range dbg.Streams {
@@ -303,24 +206,6 @@ func countHydrated(ctx context.Context, tgt *target) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-func summarizeLatency(samples []float64) Latency {
-	if len(samples) == 0 {
-		return Latency{}
-	}
-	sort.Float64s(samples)
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	p50, p95, _ := quantiles(samples)
-	return Latency{
-		P50:  p50,
-		P95:  p95,
-		Max:  samples[len(samples)-1],
-		Mean: sum / float64(len(samples)),
-	}
 }
 
 // evaluateRestart turns broken hydration contracts into violations.

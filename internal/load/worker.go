@@ -1,82 +1,25 @@
 package load
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/blackbox-rt/modelgen/internal/obs"
+	"github.com/blackbox-rt/modelgen/internal/serve"
 )
-
-// target abstracts "where requests go": a live base URL or an
-// in-process handler invoked without a socket.
-type target struct {
-	base string
-	c    *http.Client
-}
-
-func newTarget(cfg Config) (*target, error) {
-	switch {
-	case cfg.BaseURL != "":
-		return &target{base: strings.TrimRight(cfg.BaseURL, "/"),
-			c: &http.Client{Timeout: 30 * time.Second}}, nil
-	case cfg.Handler != nil:
-		return &target{base: "http://bbserved.inproc",
-			c: &http.Client{Transport: inprocTransport{h: cfg.Handler}}}, nil
-	default:
-		return nil, fmt.Errorf("load: neither BaseURL nor Handler configured")
-	}
-}
-
-// inprocTransport serves requests by calling the handler directly —
-// the in-process mode that lets bbload push thousands of streams
-// without sockets or ports.
-type inprocTransport struct{ h http.Handler }
-
-func (t inprocTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.h.ServeHTTP(rec, r)
-	return rec.Result(), nil
-}
-
-func (t *target) do(ctx context.Context, method, path string, body []byte, hdr map[string]string) (int, http.Header, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, t.base+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := t.c.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, resp.Header, nil, err
-	}
-	return resp.StatusCode, resp.Header, out, nil
-}
 
 // worker drives one synthetic stream.
 type worker struct {
-	id     string
-	class  Class
-	cfg    *Config
-	client *target
-	stats  *classStats
-	rng    *rand.Rand
-
-	clockUS int64 // synthetic trace clock, µs
+	id       string
+	class    Class
+	cfg      *Config
+	client   *target
+	stats    *classStats
+	failures *failureSample
+	rng      *rand.Rand
 
 	// Drift-injection bookkeeping (drift mode sends synchronously, so
 	// these need no locking).
@@ -84,32 +27,17 @@ type worker struct {
 	acceptedStationary int // pre-flip periods the server accepted
 }
 
-const (
-	workerPeriodUS = 1000
-	workerBitRate  = 500_000
-)
-
-func (w *worker) createStream(ctx context.Context) error {
-	body := fmt.Sprintf(`{"id":%q,"tasks":["t1","t2"]`, w.id)
+// createRequest is the stream's create body: candump streams get a
+// bus and a period grid, drift runs a monitor.
+func (w *worker) createRequest() serve.CreateStreamRequest {
+	req := serve.CreateStreamRequest{ID: w.id}
 	if w.class == ClassCandump {
-		body += fmt.Sprintf(`,"bit_rate":%d,"period_us":%d`, workerBitRate, workerPeriodUS)
+		req.BitRate, req.PeriodUS = bitRate, periodUS
 	}
 	if w.cfg.DriftFlipAfter > 0 {
-		body += `,"drift":{"enabled":true}`
+		req.Drift = &serve.DriftOptions{Enabled: true}
 	}
-	body += "}"
-	code, _, out, err := w.client.do(ctx, "POST", "/v1/streams", []byte(body), nil)
-	if err != nil {
-		return err
-	}
-	if code != http.StatusCreated {
-		return fmt.Errorf("status %d: %s", code, out)
-	}
-	return nil
-}
-
-func (w *worker) deleteStream(ctx context.Context) {
-	_, _, _, _ = w.client.do(ctx, "DELETE", "/v1/streams/"+w.id, nil, nil)
+	return req
 }
 
 // run fires batches on the open-loop schedule: batch n is due at
@@ -155,71 +83,16 @@ func (w *worker) run(ctx context.Context, start time.Time, rate float64, sem cha
 // the last accepted stationary one.
 func (w *worker) flipPoint() int { return w.acceptedStationary + 1 }
 
-// driftWire is the subset of the server's drift state the report
-// scores against.
-type driftWire struct {
-	Generation      int `json:"generation"`
-	Alarms          int `json:"alarms"`
-	LastChangePoint int `json:"last_change_point"`
-	LastAlarmPeriod int `json:"last_alarm_period"`
-}
-
-// driftState fetches the stream's monitor state after a run.
-func (w *worker) driftState(ctx context.Context) (*driftWire, error) {
-	code, _, out, err := w.client.do(ctx, "GET", "/v1/streams/"+w.id+"/drift", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("drift status %d: %s", code, out)
-	}
-	var resp struct {
-		Enabled bool       `json:"enabled"`
-		State   *driftWire `json:"state"`
-	}
-	if err := json.Unmarshal(out, &resp); err != nil {
-		return nil, err
-	}
-	if !resp.Enabled || resp.State == nil {
-		return nil, fmt.Errorf("stream %s has no drift state", w.id)
-	}
-	return resp.State, nil
-}
-
-// nextBatch renders PeriodsPerBatch learnable periods and advances
-// the stream clock, returning the batch and how many of its periods
-// are pre-flip (stationary). Text streams cut periods explicitly;
-// candump streams interleave task exec lines with CAN frames and rely
-// on the server's period grid plus one explicit flush. In a
-// drift-injection run, periods past DriftFlipAfter flip to the
-// changed regime: t1 keeps running, the message and t2 disappear.
+// nextBatch renders the stream's next PeriodsPerBatch periods and
+// returns the batch with how many of them are pre-flip (stationary).
 func (w *worker) nextBatch() (string, int) {
-	var sb strings.Builder
-	pre := 0
-	for k := 0; k < w.cfg.PeriodsPerBatch; k++ {
-		base := w.clockUS
-		w.clockUS += workerPeriodUS
-		w.periodsGen++
-		flipped := w.cfg.DriftFlipAfter > 0 && w.periodsGen > w.cfg.DriftFlipAfter
-		fmt.Fprintf(&sb, "exec t1 %d %d\n", base, base+100)
-		if !flipped {
-			pre++
-			if w.class == ClassCandump {
-				t := base + 150
-				fmt.Fprintf(&sb, "(%d.%06d) can0 123#AA\n", t/1_000_000, t%1_000_000)
-			} else {
-				fmt.Fprintf(&sb, "msg m1 %d %d\n", base+150, base+200)
-			}
-			fmt.Fprintf(&sb, "exec t2 %d %d\n", base+400, base+500)
-		}
-		if w.class == ClassText {
-			sb.WriteString("period\n")
-		}
+	from, n, flip := w.periodsGen, w.cfg.PeriodsPerBatch, w.cfg.DriftFlipAfter
+	w.periodsGen += n
+	pre := n
+	if flip > 0 {
+		pre = min(max(flip-from, 0), n)
 	}
-	if w.class == ClassCandump {
-		sb.WriteString("period\n")
-	}
-	return sb.String(), pre
+	return renderBatch(from, n, w.class == ClassCandump, flip), pre
 }
 
 func (w *worker) send(ctx context.Context, batch string, pre int) {
@@ -232,45 +105,31 @@ func (w *worker) send(ctx context.Context, batch string, pre int) {
 			hdr = map[string]string{"traceparent": randomTraceparent(roll)}
 		}
 	}
-	lines := int64(strings.Count(batch, "\n"))
-	t0 := time.Now()
-	code, _, out, err := w.client.do(ctx, "POST", "/v1/streams/"+w.id+"/events", []byte(batch), hdr)
-	lat := time.Since(t0).Seconds()
+	o := w.client.post(ctx, w.id, []byte(batch), hdr)
+	if o.err != nil && ctx.Err() != nil {
+		return // the run ended mid-request; not a server failure
+	}
 
 	w.stats.mu.Lock()
 	defer w.stats.mu.Unlock()
 	w.stats.requests++
-	w.stats.lines += lines
-	switch {
-	case err != nil:
-		if ctx.Err() != nil {
-			// The run ended mid-request; not a server failure.
-			w.stats.requests--
-			w.stats.lines -= lines
-			return
-		}
-		w.stats.errors++
-	case code == http.StatusTooManyRequests:
-		w.stats.shed++
-	case code == http.StatusAccepted:
-		w.stats.samples = append(w.stats.samples, lat)
-		var ir struct {
-			Periods int64 `json:"periods"`
-		}
-		_ = json.Unmarshal(out, &ir)
-		w.stats.periods += ir.Periods
+	w.stats.lines += int64(strings.Count(batch, "\n"))
+	switch o.kind {
+	case accepted:
+		w.stats.samples = append(w.stats.samples, o.latency)
+		w.stats.periods += int64(o.ingest.Periods)
 		if w.cfg.DriftFlipAfter > 0 {
 			// The candump grid may hold one period back, so count the
 			// server's number, capped at the batch's stationary share.
-			acc := int(ir.Periods)
-			if acc > pre {
-				acc = pre
-			}
-			w.acceptedStationary += acc
+			w.acceptedStationary += min(o.ingest.Periods, pre)
 		}
+		return
+	case shed:
+		w.stats.shed++
 	default:
 		w.stats.errors++
 	}
+	w.failures.add(w.id, o)
 }
 
 // randomTraceparent builds a sampled traceparent from the given
