@@ -97,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTable$$' -fuzztime $(FUZZTIME) ./internal/depfunc/
 	$(GO) test -run '^$$' -fuzz '^FuzzLearn$$' -fuzztime $(FUZZTIME) ./internal/conformance/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompleteness$$' -fuzztime $(FUZZTIME) ./internal/conformance/
+	$(GO) test -run '^$$' -fuzz '^FuzzSkipDifferential$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrames$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^$$' -fuzz '^FuzzImportEnvelope$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRoute$$' -fuzztime $(FUZZTIME) ./internal/cluster/

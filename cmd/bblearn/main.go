@@ -35,8 +35,12 @@ import (
 type progressObserver struct{ modelgen.NopObserver }
 
 func (progressObserver) OnPeriodEnd(e modelgen.PeriodEndEvent) {
-	fmt.Fprintf(os.Stderr, "period %4d: %d hypotheses (dropped %d, weight %d..%d)\n",
-		e.Period, e.Live, e.Dropped, e.WeightMin, e.WeightMax)
+	skipped := ""
+	if e.Skipped {
+		skipped = ", skipped: shape already learned"
+	}
+	fmt.Fprintf(os.Stderr, "period %4d: %d hypotheses (dropped %d, weight %d..%d%s)\n",
+		e.Period, e.Live, e.Dropped, e.WeightMin, e.WeightMax, skipped)
 }
 
 func main() {

@@ -191,5 +191,7 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 	}
 	e.stats = d.Stats
 	e.resetDeltaBase()
+	// The memo only vouches for periods ProcessPeriod saw.
+	e.memo.reset()
 	return nil
 }

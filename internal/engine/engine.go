@@ -24,7 +24,13 @@
 //     most-specific pruning, and the history update.
 //
 // ProcessPeriod composes the three in order and closes the period with
-// a period_end event carrying its counters. Front-ends
+// a period_end event carrying its counters. Between stages 1 and 2 it
+// consults the period-shape memo (memo.go): a period whose shape (its
+// candidate lists and executed tasks) the memo holds provably cannot
+// change the working set, so it skips stages 2 and 3, applies its
+// no-op history update and closes with a period_end marked skipped.
+// Driving the exported stages by hand bypasses the memo, and
+// Postprocess empties it, since the memo never saw that period. Front-ends
 // (internal/learner's Learn and Online) are thin wrappers that own
 // result assembly and verification.
 //
@@ -84,7 +90,9 @@ type Config struct {
 
 	// MaxHypotheses aborts the exact algorithm with
 	// ErrTooManyHypotheses when the working set grows beyond this
-	// size. Zero means unlimited.
+	// size. Zero means unlimited. A period ProcessPeriod skips (its
+	// shape was learned before) generates no hypotheses, so it cannot
+	// trip the cap even where generalizing it would have.
 	MaxHypotheses int
 
 	// Observer receives the structured run-trace; nil disables
@@ -162,6 +170,14 @@ type Engine struct {
 	// subsumption dropped, for the period_end event. It is not a
 	// Stats field: Stats is checkpointed, this is per-period only.
 	subsumed int
+
+	// memo holds the period shapes ProcessPeriod may skip (memo.go);
+	// prev is the bounded mode's copy of the period-entry working set,
+	// compared with the survivors to decide whether the period changed
+	// anything. noMemo turns the skip off for the differential tests.
+	memo   shapeMemo
+	prev   []*hypothesis.Hypothesis
+	noMemo bool
 }
 
 // newEngine returns an engine over ts and cfg with no working set
@@ -203,18 +219,53 @@ func (e *Engine) WorkingSetSize() int { return len(e.cur) }
 
 // ProcessPeriod consumes one instance: the candidate, generalize and
 // postprocess stages in order, closed by a period_end event carrying
-// the period's counters. On error the engine's working set is no
-// longer a consistent prefix of the instance stream; the caller owns
-// making the session sticky.
+// the period's counters. A period whose shape the memo holds (memo.go)
+// provably cannot change the working set, so after the candidates
+// stage it skips generalize and postprocess: it still counts its
+// messages and candidates, applies its (no-op) history update and
+// emits a period_end marked skipped. On error the engine's working set
+// is no longer a consistent prefix of the instance stream; the caller
+// owns making the session sticky.
 func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	obsv := e.cfg.Observer
 	children, merges := e.stats.Children, e.stats.Merges
 	executed := execVector(p, e.ts)
-	cands, live := e.EnumerateCandidates(p)
-	if err := e.Generalize(p, cands, live); err != nil {
-		return err
+	sp := obs.StartSpan(obsv, obs.PhaseCandidates)
+	cands := depfunc.Candidates(p, e.ts, e.cfg.Policy)
+	skipped := !e.noMemo && e.memo.lookup(executed, cands)
+	var live []map[depfunc.Pair]bool
+	if !skipped {
+		live = liveSuffixes(cands)
 	}
-	relaxed, dropped := e.Postprocess(p, executed)
+	sp.End()
+	var relaxed, dropped int
+	if skipped {
+		e.subsumed = 0
+		e.stats.Messages += len(p.Msgs)
+		for _, pairs := range cands {
+			e.stats.Candidates += len(pairs)
+		}
+		updateHistory(e.hist, executed, e.ts.Len())
+	} else {
+		if e.cfg.Bound > 0 {
+			e.prev = append(e.prev[:0], e.cur...)
+		}
+		err := e.Generalize(p, cands, live)
+		if err != nil {
+			clear(e.prev)
+			return err
+		}
+		var histGrew bool
+		relaxed, dropped, histGrew = e.postprocess(p, executed)
+		switch {
+		case e.noMemo:
+		case e.cfg.Bound <= 0, relaxed == 0 && !histGrew && unchanged(e.prev, e.cur):
+			e.memo.insert()
+		default:
+			e.memo.reset()
+		}
+		clear(e.prev)
+	}
 	e.stats.Periods++
 	if obsv != nil {
 		// Postprocess leaves the survivors sorted by ascending
@@ -230,6 +281,7 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 			WeightMin:   e.cur[0].Weight(),
 			WeightMax:   e.cur[len(e.cur)-1].Weight(),
 			Relaxations: relaxed,
+			Skipped:     skipped,
 		})
 	}
 	return nil
@@ -295,8 +347,17 @@ func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[
 // span: relax violated unconditional entries, clear assumptions,
 // unify and prune to the most specific set, update the cumulative
 // history. It returns the relaxed-entry count and the number of
-// hypotheses dropped by pruning.
+// hypotheses dropped by pruning. It empties the period-shape memo:
+// ProcessPeriod keeps it only for periods it drives itself.
 func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped int) {
+	e.memo.reset()
+	relaxed, dropped, _ = e.postprocess(p, executed)
+	return relaxed, dropped
+}
+
+// postprocess is Postprocess that also reports whether the history
+// grew.
+func (e *Engine) postprocess(p *trace.Period, executed []bool) (relaxed, dropped int, histGrew bool) {
 	sp := obs.StartSpan(e.cfg.Observer, obs.PhasePostprocess)
 	endCtx := hypothesis.StepCtx{Period: p.Index, Msg: -1}
 	e.relaxMask = depfunc.Violations(e.ts, func(i int) bool { return executed[i] }, e.relaxMask)
@@ -316,9 +377,9 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 	// The dedup set's stale slots would otherwise keep this period's
 	// pruned and superseded hypotheses reachable.
 	e.seen.Clear()
-	updateHistory(e.hist, executed, e.ts.Len())
+	histGrew = updateHistory(e.hist, executed, e.ts.Len())
 	sp.End()
-	return relaxed, before - len(e.cur)
+	return relaxed, before - len(e.cur), histGrew
 }
 
 // generalizeMessage extends every hypothesis in cur by every
@@ -442,15 +503,19 @@ func execVector(p *trace.Period, ts *depfunc.TaskSet) []bool {
 	return v
 }
 
-func updateHistory(hist []bool, executed []bool, n int) {
+// updateHistory marks hist[a·n+b] for every executed task a and every
+// task b that did not execute, and reports whether a mark was new.
+func updateHistory(hist []bool, executed []bool, n int) (grew bool) {
 	for a := 0; a < n; a++ {
 		if !executed[a] {
 			continue
 		}
 		for b := 0; b < n; b++ {
-			if a != b && !executed[b] {
+			if a != b && !executed[b] && !hist[a*n+b] {
 				hist[a*n+b] = true
+				grew = true
 			}
 		}
 	}
+	return grew
 }

@@ -138,6 +138,44 @@ func TestObserverEventSequenceExact(t *testing.T) {
 	}
 }
 
+// TestObserverEventSequenceSkipped pins the run-trace of a period the
+// engine skips: the paper's Figure 2 trace with its third period
+// repeated. The repeat has a shape the exact learner has already
+// learned, so it emits only its candidates span and a period_end
+// marked skipped, with zero work counters and the live count of the
+// period before; the counters still sum to Stats.
+func TestObserverEventSequenceSkipped(t *testing.T) {
+	tr := trace.PaperFigure2()
+	again := tr.Periods[2].Clone()
+	again.Index = len(tr.Periods)
+	tr.Periods = append(tr.Periods, again)
+	rec := obs.NewRecorder()
+	res, err := Learn(tr, Options{Observer: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := rec.Kinds()
+	if tail := kinds[len(kinds)-3:]; !reflect.DeepEqual(tail, []string{"span", "period_end", "run_end"}) {
+		t.Errorf("repeated period's events: got %v, want [span period_end run_end]", tail)
+	}
+	ends := periodEnds(rec)
+	var msgs int
+	for i, pe := range ends {
+		msgs += pe.Messages
+		if pe.Skipped != (i == 3) {
+			t.Errorf("period %d: skipped = %v", i, pe.Skipped)
+		}
+	}
+	want := obs.PeriodEnd{Period: 3, Messages: 4, Live: ends[2].Live,
+		WeightMin: ends[2].WeightMin, WeightMax: ends[2].WeightMax, Skipped: true}
+	if ends[3] != want {
+		t.Errorf("skipped period_end = %+v, want %+v", ends[3], want)
+	}
+	if msgs != res.Stats.Messages || res.Stats.Periods != 4 || res.Stats.Final != 5 {
+		t.Errorf("period_end messages sum to %d; stats %+v", msgs, res.Stats)
+	}
+}
+
 // TestObserverEventsBounded checks the heuristic at b=2 on the paper
 // trace: bounded merging must happen and the period_end merge counts
 // must sum to Stats.Merges, and the per-period live counts must
@@ -219,19 +257,23 @@ func TestMetricsObserverOnRealRuns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pruned := 0
+			pruned, skipped := 0, 0
 			for _, pe := range periodEnds(rec) {
 				pruned += pe.Subsumed + pe.Dropped
+				if pe.Skipped {
+					skipped++
+				}
 			}
 			snap := reg.Snapshot()
 			st := res.Stats
 			for name, want := range map[string]int{
-				obs.MetricPeriods:     st.Periods,
-				obs.MetricMessages:    st.Messages,
-				obs.MetricSpawned:     st.Children,
-				obs.MetricMerges:      st.Merges,
-				obs.MetricRelaxations: st.Relaxations,
-				obs.MetricPruned:      pruned,
+				obs.MetricPeriods:        st.Periods,
+				obs.MetricMessages:       st.Messages,
+				obs.MetricSpawned:        st.Children,
+				obs.MetricMerges:         st.Merges,
+				obs.MetricRelaxations:    st.Relaxations,
+				obs.MetricPruned:         pruned,
+				obs.MetricPeriodsSkipped: skipped,
 			} {
 				if got := snap.Value(name); got != int64(want) {
 					t.Errorf("%s = %d, want %d", name, got, want)

@@ -316,17 +316,19 @@ type Latency struct {
 }
 
 // summarize summarizes samples (seconds, any order; the slice is not
-// modified).
+// modified). Quantiles are nearest-rank: the p-th percentile is the
+// sample of rank ⌈p·n/100⌉, so every quantile is an observed sample and
+// below 100 samples p99 is the maximum.
 func summarize(samples []float64) Latency {
 	if len(samples) == 0 {
 		return Latency{}
 	}
 	s := slices.Clone(samples)
 	slices.Sort(s)
-	q := func(p float64) float64 { return s[int(p*float64(len(s)-1))] }
+	q := func(pct int) float64 { return s[(pct*len(s)+99)/100-1] }
 	var sum float64
 	for _, v := range s {
 		sum += v
 	}
-	return Latency{P50: q(0.50), P95: q(0.95), P99: q(0.99), Max: s[len(s)-1], Mean: sum / float64(len(s))}
+	return Latency{P50: q(50), P95: q(95), P99: q(99), Max: s[len(s)-1], Mean: sum / float64(len(s))}
 }

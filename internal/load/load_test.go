@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -23,6 +24,33 @@ func inprocServer(t testing.TB, cfg serve.Config) *serve.Server {
 		}
 	})
 	return sv
+}
+
+// TestSummarizeNearestRank: summarize's quantiles are nearest-rank
+// samples, so p99 is the maximum below 100 samples and p95 and p99
+// stay apart from 21 samples on. The samples are 1..n, shuffled.
+func TestSummarizeNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n             int
+		p50, p95, p99 float64
+	}{
+		{1, 1, 1, 1},
+		{10, 5, 10, 10},
+		{21, 11, 20, 21},
+		{100, 50, 95, 99},
+		{1000, 500, 950, 990},
+	} {
+		s := make([]float64, c.n)
+		for i := range s {
+			s[i] = float64(i + 1)
+		}
+		rand.New(rand.NewSource(int64(c.n))).Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		got := summarize(s)
+		want := Latency{P50: c.p50, P95: c.p95, P99: c.p99, Max: float64(c.n), Mean: float64(c.n+1) / 2}
+		if got != want {
+			t.Errorf("n=%d: got %+v, want %+v", c.n, got, want)
+		}
+	}
 }
 
 func TestRunInProcess(t *testing.T) {

@@ -10,19 +10,20 @@ import (
 // Metric-name constants of the learner bridge (see the package
 // comment for the full catalogue).
 const (
-	MetricPeriods       = "modelgen_learner_periods_total"
-	MetricMessages      = "modelgen_learner_messages_total"
-	MetricSpawned       = "modelgen_learner_hypotheses_spawned_total"
-	MetricPruned        = "modelgen_learner_hypotheses_pruned_total"
-	MetricMerges        = "modelgen_learner_merges_total"
-	MetricRelaxations   = "modelgen_learner_relaxations_total"
-	MetricLive          = "modelgen_learner_live_hypotheses"
-	MetricPeak          = "modelgen_learner_peak_hypotheses"
-	MetricCandidates    = "modelgen_learner_candidates_per_message"
-	MetricLivePerPeriod = "modelgen_learner_live_per_period"
-	MetricRuns          = "modelgen_learner_runs_total"
-	MetricRunSeconds    = "modelgen_learner_run_seconds"
-	MetricProvSteps     = "modelgen_learner_provenance_steps_total"
+	MetricPeriods        = "modelgen_learner_periods_total"
+	MetricPeriodsSkipped = "modelgen_learner_periods_skipped_total"
+	MetricMessages       = "modelgen_learner_messages_total"
+	MetricSpawned        = "modelgen_learner_hypotheses_spawned_total"
+	MetricPruned         = "modelgen_learner_hypotheses_pruned_total"
+	MetricMerges         = "modelgen_learner_merges_total"
+	MetricRelaxations    = "modelgen_learner_relaxations_total"
+	MetricLive           = "modelgen_learner_live_hypotheses"
+	MetricPeak           = "modelgen_learner_peak_hypotheses"
+	MetricCandidates     = "modelgen_learner_candidates_per_message"
+	MetricLivePerPeriod  = "modelgen_learner_live_per_period"
+	MetricRuns           = "modelgen_learner_runs_total"
+	MetricRunSeconds     = "modelgen_learner_run_seconds"
+	MetricProvSteps      = "modelgen_learner_provenance_steps_total"
 )
 
 // Metric-name constants of the drift/convergence family, maintained
@@ -101,10 +102,10 @@ var PhaseSecondsBuckets = DefLatencyBuckets
 type metricsObserver struct {
 	reg *Registry
 
-	periods, messages, spawned, pruned, merges, relaxations, runs *Counter
-	provSteps                                                     *Counter
-	live, peak                                                    *Gauge
-	candidates, livePerPeriod, runSeconds                         *Histogram
+	periods, skipped, messages, spawned, pruned, merges, relaxations *Counter
+	runs, provSteps                                                  *Counter
+	live, peak                                                       *Gauge
+	candidates, livePerPeriod, runSeconds                            *Histogram
 
 	mu       sync.Mutex
 	pipeline map[string]*Counter   // stage/name -> counter, created on demand
@@ -119,7 +120,8 @@ func NewMetricsObserver(reg *Registry) Observer {
 	return &metricsObserver{
 		reg:           reg,
 		periods:       reg.Counter(MetricPeriods, "periods processed by the learner"),
-		messages:      reg.Counter(MetricMessages, "message occurrences processed"),
+		skipped:       reg.Counter(MetricPeriodsSkipped, "periods skipped because their shape could not change the model"),
+		messages:      reg.Counter(MetricMessages, "message occurrences of processed periods"),
 		spawned:       reg.Counter(MetricSpawned, "hypotheses created by generalization"),
 		pruned:        reg.Counter(MetricPruned, "hypotheses removed by pruning, at the period end or subsumed after a message"),
 		merges:        reg.Counter(MetricMerges, "heuristic least-upper-bound merges"),
@@ -137,7 +139,6 @@ func NewMetricsObserver(reg *Registry) Observer {
 }
 
 func (m *metricsObserver) OnMessageProcessed(e MessageProcessed) {
-	m.messages.Inc()
 	m.candidates.Observe(float64(e.Candidates))
 	m.live.Set(int64(e.Live))
 	m.peak.SetMax(int64(e.Live))
@@ -145,6 +146,10 @@ func (m *metricsObserver) OnMessageProcessed(e MessageProcessed) {
 
 func (m *metricsObserver) OnPeriodEnd(e PeriodEnd) {
 	m.periods.Inc()
+	if e.Skipped {
+		m.skipped.Inc()
+	}
+	m.messages.Add(int64(e.Messages))
 	m.spawned.Add(int64(e.Children))
 	m.merges.Add(int64(e.Merges))
 	m.pruned.Add(int64(e.Subsumed + e.Dropped))

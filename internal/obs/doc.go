@@ -18,15 +18,17 @@
 // kind in the "event" field):
 //
 //	message_processed   {period, index, id, candidates, live}
-//	period_end          {period, messages, children, merges, subsumed, live, dropped, weight_min, weight_max, relaxations}
+//	period_end          {period, messages, children, merges, subsumed, live, dropped, weight_min, weight_max, relaxations, skipped?}
 //	run_end             {periods, messages, final, peak, merges, elapsed_ns}
 //	pipeline            {stage, name, value, label?}
 //	provenance          {period, index, msg?, sender?, receiver?, task1, task2, from, to, action}
 //	span                {phase, elapsed_ns}
 //
 // The learner emits the first three: one message_processed per
-// message occurrence, one period_end per period carrying that
-// period's counters, and one run_end per batch run. The trace
+// generalized message occurrence, one period_end per period carrying
+// that period's counters, and one run_end per batch run. A period the
+// engine skips (its shape could not change the model) emits only its
+// candidates span and a period_end with skipped set. The trace
 // readers, the simulator and the conformance harness emit generic
 // pipeline events such as stage "trace" / name "events_read".
 // provenance events carry the derivation chain of the winning
@@ -46,7 +48,8 @@
 // parentheses):
 //
 //	modelgen_learner_periods_total              counter (period_end)
-//	modelgen_learner_messages_total             counter (message_processed)
+//	modelgen_learner_periods_skipped_total      counter (period_end skipped)
+//	modelgen_learner_messages_total             counter (period_end messages)
 //	modelgen_learner_hypotheses_spawned_total   counter (period_end children)
 //	modelgen_learner_hypotheses_pruned_total    counter (period_end subsumed + dropped)
 //	modelgen_learner_merges_total               counter (period_end merges)
@@ -61,12 +64,15 @@
 //	modelgen_<stage>_<name>_total               counter, one per pipeline stage/name
 //	modelgen_phase_<phase>_seconds              histogram (1µs..10s), one per span phase
 //
-// The spawn, merge and prune counters advance once per period, so a
-// period that fails part-way (and emits no period_end) does not reach
-// them. modelgen_learner_candidates_per_message aggregates the
-// per-message candidate fan-out |A_m| — the driver of the O(m·b·t²)
-// term of the heuristic's runtime — which is otherwise only visible
-// per-event.
+// The message, spawn, merge and prune counters advance once per
+// period, so a period that fails part-way (and emits no period_end)
+// does not reach them. The skipped counter over the periods counter is
+// the skip ratio: the share of periods whose shape the engine had
+// already learned, which ran no generalization (and emitted no
+// message_processed). modelgen_learner_candidates_per_message
+// aggregates the per-message candidate fan-out |A_m| of the messages
+// actually generalized — the driver of the O(m·b·t²) term of the
+// heuristic's runtime — which is otherwise only visible per-event.
 //
 // RuntimeMetrics additionally publishes go_goroutines,
 // go_heap_alloc_bytes, go_gc_runs_total and go_gc_pause_seconds_total,

@@ -28,17 +28,21 @@ type MessageProcessed struct {
 // Merges, hypotheses Subsumed after a message (exact mode only),
 // entries relaxed by the end-of-period tests, Dropped by the
 // end-of-period prune, and the Live survivors with their weight range.
+// Skipped marks a period whose shape the engine had already learned:
+// it provably could not change the working set, so it ran no
+// generalization and its work counters are zero.
 type PeriodEnd struct {
-	Period      int `json:"period"`
-	Messages    int `json:"messages"`
-	Children    int `json:"children"`
-	Merges      int `json:"merges"`
-	Subsumed    int `json:"subsumed"`
-	Live        int `json:"live"`
-	Dropped     int `json:"dropped"`
-	WeightMin   int `json:"weight_min"`
-	WeightMax   int `json:"weight_max"`
-	Relaxations int `json:"relaxations"`
+	Period      int  `json:"period"`
+	Messages    int  `json:"messages"`
+	Children    int  `json:"children"`
+	Merges      int  `json:"merges"`
+	Subsumed    int  `json:"subsumed"`
+	Live        int  `json:"live"`
+	Dropped     int  `json:"dropped"`
+	WeightMin   int  `json:"weight_min"`
+	WeightMax   int  `json:"weight_max"`
+	Relaxations int  `json:"relaxations"`
+	Skipped     bool `json:"skipped,omitempty"`
 }
 
 // RunEnd closes a batch learning run with its headline statistics.

@@ -147,10 +147,14 @@ func TestMetricsObserverBridge(t *testing.T) {
 	reg := NewRegistry()
 	mo := NewMetricsObserver(reg)
 	emitAll(mo)
+	// A skipped period counts as a period and its messages, and
+	// nothing else moves.
+	mo.OnPeriodEnd(PeriodEnd{Period: 1, Messages: 3, Live: 1, WeightMin: 3, WeightMax: 3, Skipped: true})
 	snap := reg.Snapshot()
 	checks := map[string]int64{
-		MetricPeriods:                      1,
-		MetricMessages:                     2,
+		MetricPeriods:                      2,
+		MetricPeriodsSkipped:               1,
+		MetricMessages:                     5,
 		MetricSpawned:                      3,
 		MetricPruned:                       3, // subsumed + dropped
 		MetricMerges:                       1,
