@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench microbench conform soak fuzz tidy load drift store cluster
+.PHONY: check vet build test race bench microbench conform soak fuzz tidy load drift store cluster loc
 
 ## check: the full gate — vet, build everything, race-enabled tests,
 ## and the conformance harness over the committed golden corpus.
@@ -126,3 +126,13 @@ microbench:
 
 tidy:
 	$(GO) mod tidy
+
+## loc: non-test Go lines of each internal package — the size figure
+## ROADMAP and CHANGES.md quote, counted as
+## `cat $(ls internal/<p>/*.go | grep -v _test.go) | wc -l`.
+loc:
+	@for d in internal/*/; do \
+		files=$$(ls $$d*.go | grep -v _test.go); \
+		[ -n "$$files" ] || continue; \
+		printf '%-12s %6d\n' $$(basename $$d) $$(cat $$files | wc -l); \
+	done

@@ -66,6 +66,13 @@ type placement struct {
 	migrating chan struct{}
 }
 
+// backend is a Backend plus its per-node proxy counters, resolved once
+// at NewGateway so the request path never touches the registry.
+type backend struct {
+	Backend
+	reqs, errs *obs.Counter
+}
+
 // Gateway proxies the /v1/streams API to the owning node of each
 // stream and runs migrations. All proxied requests forward the
 // client's headers — traceparent included, so traces span nodes — and
@@ -73,7 +80,7 @@ type placement struct {
 type Gateway struct {
 	cfg      GatewayConfig
 	ring     *Ring
-	backends map[string]Backend
+	backends map[string]*backend
 	mux      *http.ServeMux
 
 	mu      sync.Mutex
@@ -95,10 +102,13 @@ type Gateway struct {
 // backend names; construction fails on duplicate or empty names.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	names := make([]string, 0, len(cfg.Backends))
-	backends := make(map[string]Backend, len(cfg.Backends))
+	backends := make(map[string]*backend, len(cfg.Backends))
 	for _, b := range cfg.Backends {
 		names = append(names, b.Name)
-		backends[b.Name] = b
+		backends[b.Name] = &backend{Backend: b,
+			reqs: cfg.Registry.LabeledCounter(MetricProxyRequests, "Requests proxied to each node.", "node", b.Name),
+			errs: cfg.Registry.LabeledCounter(MetricProxyErrors, "Proxied requests that failed in transport.", "node", b.Name),
+		}
 	}
 	ring, err := NewRing(names, cfg.Ring)
 	if err != nil {
@@ -116,11 +126,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		backends: backends,
 		streams:  map[string]*placement{},
 	}
-	if reg := cfg.Registry; reg != nil {
-		g.mMigrations = reg.Counter(MetricMigrations, "Completed stream migrations.")
-		g.mFallbacks = reg.Counter(MetricFallbacks,
-			"Migrations that landed on a fallback node because the chosen target failed to import.")
-	}
+	g.mMigrations = cfg.Registry.Counter(MetricMigrations, "Completed stream migrations.")
+	g.mFallbacks = cfg.Registry.Counter(MetricFallbacks,
+		"Migrations that landed on a fallback node because the chosen target failed to import.")
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/streams", g.handleCreate)
 	mux.HandleFunc("GET /v1/streams", g.handleList)
@@ -196,28 +204,19 @@ func (g *Gateway) await(id string) *placement {
 	}
 }
 
-func (g *Gateway) client(node string) *http.Client {
-	if c := g.backends[node].Client; c != nil {
-		return c
+func (b *backend) client() *http.Client {
+	if b.Client != nil {
+		return b.Client
 	}
 	return http.DefaultClient
-}
-
-func (g *Gateway) counter(name, help, node string) *obs.Counter {
-	if g.cfg.Registry == nil {
-		return nil
-	}
-	return g.cfg.Registry.LabeledCounter(name, help, "node", node)
 }
 
 // forward proxies the request to the node, stamping the placement
 // epoch. The client's headers are copied wholesale, so traceparent
 // propagates into the node's span tree.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string, epoch uint64, body []byte) {
-	if c := g.counter(MetricProxyRequests, "Requests proxied to each node.", node); c != nil {
-		c.Inc()
-	}
 	b := g.backends[node]
+	b.reqs.Inc()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.URL+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
@@ -225,11 +224,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string, e
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
-	resp, err := g.client(node).Do(req)
+	resp, err := b.client().Do(req)
 	if err != nil {
-		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
-			c.Inc()
-		}
+		b.errs.Inc()
 		g.logf("cluster: gateway: %s %s → %s: %v", r.Method, r.URL.Path, node, err)
 		writeJSON(w, http.StatusBadGateway,
 			map[string]string{"error": fmt.Sprintf("cluster: node %s unreachable: %v", node, err)})
@@ -331,18 +328,17 @@ func (g *Gateway) listNode(r *http.Request, node string) ([]serve.StreamInfo, er
 // status but want into an error carrying the body's first bytes, and
 // decodes the answer into out unless out is nil.
 func (g *Gateway) call(ctx context.Context, node, method, path string, body []byte, hdr map[string]string, want int, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, g.backends[node].URL+path, bytes.NewReader(body))
+	b := g.backends[node]
+	req, err := http.NewRequestWithContext(ctx, method, b.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	for k, v := range hdr {
 		req.Header.Set(k, v)
 	}
-	resp, err := g.client(node).Do(req)
+	resp, err := b.client().Do(req)
 	if err != nil {
-		if c := g.counter(MetricProxyErrors, "Proxied requests that failed in transport.", node); c != nil {
-			c.Inc()
-		}
+		b.errs.Inc()
 		return err
 	}
 	defer resp.Body.Close()
@@ -482,10 +478,8 @@ func (g *Gateway) Migrate(id, target string) error {
 	p.node = winner
 	p.epoch = newEpoch
 	g.mu.Unlock()
-	if g.mMigrations != nil {
-		g.mMigrations.Inc()
-	}
-	if winner != target && g.mFallbacks != nil {
+	g.mMigrations.Inc()
+	if winner != target {
 		g.mFallbacks.Inc()
 	}
 	g.logf("cluster: migrated stream %s %s→%s at epoch %d", id, source, winner, newEpoch)

@@ -110,16 +110,15 @@ func NewNode(cfg NodeConfig) *Node {
 		inner:    cfg.Server.Handler(),
 		minEpoch: map[string]uint64{},
 	}
-	if reg := cfg.Registry; reg != nil {
-		n.mFenced = reg.Counter(MetricFencedWrites,
-			"Stream requests rejected because their placement epoch was below the stream's fence.")
-		n.mHandoffs = reg.Counter(MetricHandoffs,
-			"Streams exported to another node by checkpoint handoff.")
-		n.mImports = reg.Counter(MetricImports,
-			"Streams imported from another node's checkpoint handoff.")
-		reg.LabeledGauge("modelgen_cluster_node", "Constant 1, labeled with the node's ring name.",
-			"node", cfg.ID).Set(1)
-	}
+	reg := cfg.Registry
+	n.mFenced = reg.Counter(MetricFencedWrites,
+		"Stream requests rejected because their placement epoch was below the stream's fence.")
+	n.mHandoffs = reg.Counter(MetricHandoffs,
+		"Streams exported to another node by checkpoint handoff.")
+	n.mImports = reg.Counter(MetricImports,
+		"Streams imported from another node's checkpoint handoff.")
+	reg.LabeledGauge("modelgen_cluster_node", "Constant 1, labeled with the node's ring name.",
+		"node", cfg.ID).Set(1)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /cluster/handoff/{id}", n.handleHandoff)
 	mux.HandleFunc("POST /cluster/import", n.handleImport)
@@ -171,9 +170,7 @@ func (n *Node) raiseFence(id string, epoch uint64) {
 }
 
 func (n *Node) rejectFenced(w http.ResponseWriter, fe *FencedError) {
-	if n.mFenced != nil {
-		n.mFenced.Inc()
-	}
+	n.mFenced.Inc()
 	n.logf("cluster: node %s: %v", n.cfg.ID, fe)
 	writeJSON(w, http.StatusPreconditionFailed, fencedBody{
 		Error:    fe.Error(),
@@ -239,9 +236,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.raiseFence(id, epoch)
-	if n.mHandoffs != nil {
-		n.mHandoffs.Inc()
-	}
+	n.mHandoffs.Inc()
 	n.logf("cluster: node %s: handed off stream %s at epoch %d (%d periods)", n.cfg.ID, id, epoch, learned)
 	writeJSON(w, http.StatusOK, HandoffResponse{ID: id, Learned: learned, Epoch: epoch, Envelope: envelope})
 }
@@ -281,9 +276,7 @@ func (n *Node) handleImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.raiseFence(info.ID, req.Epoch)
-	if n.mImports != nil {
-		n.mImports.Inc()
-	}
+	n.mImports.Inc()
 	n.logf("cluster: node %s: imported stream %s at epoch %d (%d periods)", n.cfg.ID, info.ID, req.Epoch, req.Learned)
 	writeJSON(w, http.StatusCreated, info)
 }

@@ -199,12 +199,12 @@ func (m *metricsObserver) OnSpan(e SpanEnd) {
 // answers without reaching for pprof: go_goroutines,
 // go_heap_alloc_bytes, go_gc_runs_total and
 // go_gc_pause_seconds_total. Values refresh on every scrape/snapshot.
-// Calling it again on the same registry is a no-op, so every layer
-// that wants the series present (serve.New, a main, the pprof
-// server) may call it defensively without stacking duplicate
-// ReadMemStats hooks.
+// Calling it on a nil registry, or again on the same one, is a no-op,
+// so every layer that wants the series present (serve.New, a main,
+// the pprof server) may call it defensively without stacking
+// duplicate ReadMemStats hooks.
 func RuntimeMetrics(reg *Registry) {
-	if reg.runtimeHooked.Swap(true) {
+	if reg == nil || reg.runtimeHooked.Swap(true) {
 		return
 	}
 	goroutines := reg.Gauge("go_goroutines", "current goroutine count")

@@ -78,6 +78,16 @@
 // go_heap_alloc_bytes, go_gc_runs_total and go_gc_pause_seconds_total,
 // refreshed on every scrape.
 //
+// # Nil instruments
+//
+// A nil *Counter, *Gauge, *FloatGauge or *Histogram is a valid
+// instrument whose updates do nothing and whose reads return zero, and
+// the Registry constructors called on a nil *Registry return nil — the
+// same idiom as the nil *Tracer. A layer built with an optional
+// registry therefore resolves its instruments once, unconditionally,
+// and updates them without an "if m != nil" guard at each call site;
+// a nil instrument costs one pointer test and allocates nothing.
+//
 // # Exposition
 //
 // Registry.WritePrometheus emits the Prometheus text format,

@@ -14,23 +14,33 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing metric.
+// Counter is a monotonically increasing metric. Like every
+// instrument, a nil *Counter is a valid no-op (see the package doc).
 type Counter struct {
 	v atomic.Int64
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n (negative deltas are ignored: counters only go up).
 func (c *Counter) Add(n int64) {
-	if n > 0 {
+	if c != nil && n > 0 {
 		c.v.Add(n)
 	}
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a metric that can go up and down.
 type Gauge struct {
@@ -38,15 +48,23 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) {
+	if g != nil {
+		g.v.Add(n)
+	}
+}
 
 // SetMax raises the gauge to v if v is larger (a running maximum,
 // e.g. peak working-set size).
 func (g *Gauge) SetMax(v int64) {
-	for {
+	for g != nil {
 		cur := g.v.Load()
 		if v <= cur || g.v.CompareAndSwap(cur, v) {
 			return
@@ -55,7 +73,12 @@ func (g *Gauge) SetMax(v int64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // FloatGauge is a gauge holding a float64 — burn rates, ratios and
 // quantile estimates that do not fit the integer Gauge.
@@ -64,10 +87,19 @@ type FloatGauge struct {
 }
 
 // Set stores v.
-func (g *FloatGauge) Set(v float64) { g.v.Store(math.Float64bits(v)) }
+func (g *FloatGauge) Set(v float64) {
+	if g != nil {
+		g.v.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.v.Load()) }
+func (g *FloatGauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.v.Load())
+}
 
 // Exemplar links one observation of a histogram bucket to the trace
 // that produced it, so a saturated latency bucket is one click away
@@ -91,6 +123,9 @@ type Histogram struct {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -107,19 +142,37 @@ func (h *Histogram) Observe(v float64) {
 // bucket's exemplar (latest wins). Unlike Observe it allocates; call
 // it only for observations that actually carry a sampled trace.
 func (h *Histogram) ObserveExemplar(v float64, traceID string, now time.Time) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.ex[i].Store(&Exemplar{Value: v, TraceID: traceID, UnixNS: now.UnixNano()})
 	h.Observe(v)
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sum.Load())
+}
 
 // Bounds returns the finite upper bucket bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
+func (h *Histogram) Bounds() []float64 {
+	if h == nil {
+		return nil
+	}
+	return append([]float64(nil), h.bounds...)
+}
 
 // metric pairs a named instrument with its help string for
 // exposition. name is the full series identity (base plus rendered
@@ -148,7 +201,9 @@ func (m *metric) typ() string {
 // Registry is a dependency-free metrics registry: get-or-create
 // instruments by name, exposed in the Prometheus text format, as
 // JSON, or as a point-in-time Snapshot. All methods are safe for
-// concurrent use; instrument updates are lock-free.
+// concurrent use; instrument updates are lock-free. On a nil
+// *Registry the constructors return nil instruments and Unregister
+// does nothing.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -191,6 +246,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 // names the same series. All series of one metric family must share
 // one instrument type.
 func (r *Registry) LabeledCounter(name, help string, kv ...string) *Counter {
+	if r == nil {
+		return nil
+	}
 	m := r.getOrCreate(name, help, kv, func() *metric { return &metric{counter: &Counter{}} })
 	if m.counter == nil {
 		panic(fmt.Sprintf("obs: %q already registered as a %s", m.name, m.typ()))
@@ -201,6 +259,9 @@ func (r *Registry) LabeledCounter(name, help string, kv ...string) *Counter {
 // LabeledGauge returns the gauge of the series name{kv...}, creating
 // it on first use.
 func (r *Registry) LabeledGauge(name, help string, kv ...string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	m := r.getOrCreate(name, help, kv, func() *metric { return &metric{gauge: &Gauge{}} })
 	if m.gauge == nil {
 		panic(fmt.Sprintf("obs: %q already registered as a %s", m.name, m.typ()))
@@ -211,6 +272,9 @@ func (r *Registry) LabeledGauge(name, help string, kv ...string) *Gauge {
 // LabeledHistogram returns the histogram of the series name{kv...},
 // creating it with the given bucket bounds on first use.
 func (r *Registry) LabeledHistogram(name, help string, buckets []float64, kv ...string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	m := r.getOrCreate(name, help, kv, func() *metric {
 		bounds := append([]float64(nil), buckets...)
 		sort.Float64s(bounds)
@@ -235,6 +299,9 @@ func (r *Registry) FloatGauge(name, help string) *FloatGauge {
 // LabeledFloatGauge returns the float-valued gauge of the series
 // name{kv...}, creating it on first use.
 func (r *Registry) LabeledFloatGauge(name, help string, kv ...string) *FloatGauge {
+	if r == nil {
+		return nil
+	}
 	m := r.getOrCreate(name, help, kv, func() *metric { return &metric{fgauge: &FloatGauge{}} })
 	if m.fgauge == nil {
 		panic(fmt.Sprintf("obs: %q already registered as a %s", m.name, m.typ()))
@@ -299,6 +366,9 @@ func (r *Registry) getOrCreate(name, help string, kv []string, mk func() *metric
 // from the registry, reporting whether it was present. Useful for
 // per-stream series whose subject was deleted.
 func (r *Registry) Unregister(series string) bool {
+	if r == nil {
+		return false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, ok := r.metrics[series]

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -181,5 +182,37 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if g.Value() != 999 {
 		t.Errorf("gauge = %d, want 999", g.Value())
+	}
+}
+
+// TestNilInstrumentsNoop pins the nil-instrument rule (package doc):
+// a nil Registry hands out nil instruments, and every update and read
+// on them is a no-op that allocates nothing, so callers need no guard.
+func TestNilInstrumentsNoop(t *testing.T) {
+	var r *Registry
+	c := r.LabeledCounter("c_total", "", "k", "v")
+	g := r.Gauge("g", "")
+	fg := r.FloatGauge("f", "")
+	h := r.HistogramWith(HistogramOpts{Name: "h"})
+	if c != nil || g != nil || fg != nil || h != nil || r.Unregister("g") {
+		t.Fatal("nil registry built an instrument")
+	}
+	RuntimeMetrics(r)
+	now := time.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(1)
+		g.Add(2)
+		g.SetMax(5)
+		fg.Set(0.5)
+		h.Observe(1)
+		h.ObserveExemplar(1, "trace", now)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil instruments allocated %.1f/op, want 0", allocs)
+	}
+	if c.Value() != 0 || g.Value() != 0 || fg.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Bounds() != nil {
+		t.Fatal("nil instrument reads a nonzero value")
 	}
 }

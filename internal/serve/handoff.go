@@ -45,19 +45,10 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 	// Unpublish first: once the export begins, ingest and queries must
 	// not find the stream, or a post-drain period could slip between
 	// the snapshot and the removal.
-	sv.mu.Lock()
-	s, ok := sv.streams[id]
-	if ok {
-		delete(sv.streams, id)
-		if sv.mStreams != nil {
-			sv.mStreams.Set(int64(len(sv.streams)))
-		}
-	}
-	sv.mu.Unlock()
-	if !ok {
+	s := sv.unpublish(id)
+	if s == nil {
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, ErrNoStream)
 	}
-
 	var body []byte
 	var learned int
 	var snapErr error
@@ -75,33 +66,21 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 	if err != nil {
 		// Republish: the stream stays here, alive or sticky-dead.
 		sv.mu.Lock()
-		sv.streams[id] = s
-		if sv.mStreams != nil {
-			sv.mStreams.Set(int64(len(sv.streams)))
-		}
+		sv.publishLocked(s)
 		sv.mu.Unlock()
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, err)
 	}
-
-	// The envelope is safe; stop the owner and drop every local trace
-	// of the stream. The importer owns the state from here on.
-	s.close()
-	<-s.done
-	if sv.store != nil {
-		if err := sv.store.Remove(id); err != nil {
-			sv.logf("serve: export %s: remove store state: %v", id, err)
-		}
-	}
-	sv.dropStreamMetrics(s)
+	// The envelope is safe; the importer owns the state from here on.
+	sv.retire(s)
 	return body, learned, nil
 }
 
 // ImportStream rebuilds a stream from an ExportStream envelope:
 // learner restored bit-identically (learner.RestoreOnline), drift
 // monitor continued from the envelope's state, durable store entry
-// created fresh on this server. learned is the stream's
-// learned-period count from the exporter. It fails with
-// errStreamExists if this server already owns the stream ID.
+// created fresh on this server with the envelope as its base. learned
+// is the stream's learned-period count from the exporter. It fails
+// with errStreamExists if this server already owns the stream ID.
 func (sv *Server) ImportStream(envelope []byte, learned int) (StreamInfo, error) {
 	cf, err := decodeCheckpoint(envelope)
 	if err != nil {
@@ -113,7 +92,7 @@ func (sv *Server) ImportStream(envelope []byte, learned int) (StreamInfo, error)
 	if learned < cf.Snapshot.Stats.Periods {
 		learned = cf.Snapshot.Stats.Periods
 	}
-	s, err := sv.addStream(cf.Info, cf.Snapshot, learned, cf.Drift)
+	s, err := sv.addStream(cf.Info, cf, learned, envelope)
 	if err != nil {
 		return StreamInfo{}, err
 	}

@@ -49,7 +49,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/blackbox-rt/modelgen/internal/drift"
 	"github.com/blackbox-rt/modelgen/internal/learner"
 	"github.com/blackbox-rt/modelgen/internal/obs"
 	"github.com/blackbox-rt/modelgen/internal/store"
@@ -117,15 +116,10 @@ type Server struct {
 	closed  bool
 	nextID  atomic.Int64
 
-	mStreams        *obs.Gauge
-	mReqs, mErrs    *obs.Counter
-	mOfferedLines   *obs.Counter
-	mShedLines      *obs.Counter
-	mLatency        *obs.Histogram
-	mPeriodsLearned *obs.Counter
-	mAlarmPeriods   *obs.Counter
-	mDriftLag       *obs.Histogram
-	mQuarantined    *obs.Counter
+	mStreams     *obs.Gauge
+	mReqs, mErrs *obs.Counter
+	mQuarantined *obs.Counter
+	sharedInstruments
 }
 
 func (sv *Server) logf(format string, args ...any) {
@@ -161,29 +155,28 @@ func New(cfg Config) *Server {
 			Logf:           cfg.Logf,
 		})
 	}
-	if reg := cfg.Registry; reg != nil {
-		sv.mStreams = reg.Gauge("serve_streams", "Number of live trace streams.")
-		sv.mReqs = reg.Counter("serve_http_requests_total", "API requests served.")
-		sv.mErrs = reg.Counter("serve_http_errors_total", "API requests answered with a 5xx status.")
-		sv.mOfferedLines = reg.Counter("serve_ingest_offered_lines_total", "Feed lines offered to ingest, shed or not.")
-		sv.mShedLines = reg.Counter("serve_ingest_shed_lines_total", "Feed lines rejected with 429 under backpressure.")
-		sv.mLatency = reg.HistogramWith(obs.HistogramOpts{
-			Name: "serve_ingest_latency_seconds",
-			Help: "Seconds from period enqueue to committed model update.",
-		})
-		sv.mPeriodsLearned = reg.Counter("serve_periods_learned_total",
-			"Periods committed to a model update, across all streams.")
-		sv.mAlarmPeriods = reg.Counter("serve_drift_alarm_periods_total",
-			"Periods that raised a model change-point alarm, across all streams.")
-		sv.mDriftLag = reg.HistogramWith(obs.HistogramOpts{
-			Name:    obs.MetricDriftLag,
-			Help:    "Periods between an estimated change point and its alarm.",
-			Buckets: obs.DriftLagBuckets,
-		})
-		sv.mQuarantined = reg.Counter("serve_restore_quarantined_total",
-			"Corrupt stream state moved to quarantine during restore.")
-		obs.RuntimeMetrics(reg)
-	}
+	reg := cfg.Registry
+	sv.mStreams = reg.Gauge("serve_streams", "Number of live trace streams.")
+	sv.mReqs = reg.Counter("serve_http_requests_total", "API requests served.")
+	sv.mErrs = reg.Counter("serve_http_errors_total", "API requests answered with a 5xx status.")
+	sv.mOfferedLines = reg.Counter("serve_ingest_offered_lines_total", "Feed lines offered to ingest, shed or not.")
+	sv.mShedLines = reg.Counter("serve_ingest_shed_lines_total", "Feed lines rejected with 429 under backpressure.")
+	sv.mLatency = reg.HistogramWith(obs.HistogramOpts{
+		Name: "serve_ingest_latency_seconds",
+		Help: "Seconds from period enqueue to committed model update.",
+	})
+	sv.mPeriodsLearned = reg.Counter("serve_periods_learned_total",
+		"Periods committed to a model update, across all streams.")
+	sv.mAlarmPeriods = reg.Counter("serve_drift_alarm_periods_total",
+		"Periods that raised a model change-point alarm, across all streams.")
+	sv.mDriftLag = reg.HistogramWith(obs.HistogramOpts{
+		Name:    obs.MetricDriftLag,
+		Help:    "Periods between an estimated change point and its alarm.",
+		Buckets: obs.DriftLagBuckets,
+	})
+	sv.mQuarantined = reg.Counter("serve_restore_quarantined_total",
+		"Corrupt stream state moved to quarantine during restore.")
+	obs.RuntimeMetrics(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", sv.handleHealth)
 	mux.HandleFunc("POST /v1/streams", sv.handleCreate)
@@ -224,7 +217,7 @@ func (w *statusWriter) WriteHeader(code int) {
 // backpressure 429s are deliberate and tracked by the shed SLO, not
 // availability).
 func (sv *Server) Handler() http.Handler {
-	if sv.mReqs == nil {
+	if sv.cfg.Registry == nil {
 		return sv.mux
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -285,16 +278,14 @@ func (sv *Server) RestoreFromDir() (int, error) {
 		}
 		n++
 	}
-	if nq > 0 && sv.mQuarantined != nil {
-		sv.mQuarantined.Add(int64(nq))
-	}
+	sv.mQuarantined.Add(int64(nq))
 	return n, nil
 }
 
 // registerCold registers a scanned stream without hydrating it: no
-// learner, no drift monitor, no open WAL handle — just the
-// registration, the parser, and the scan-time stats for /debug. The
-// owner goroutine pages real state in on first use.
+// learner, no drift monitor, no open WAL handle — just the shell and
+// the scan-time stats for /debug. The owner goroutine installs the
+// stored state on first use (ensureHydrated).
 func (sv *Server) registerCold(sm store.StreamMeta) error {
 	manifestPath := filepath.Join(sv.store.Dir(), sm.ID, "manifest.json")
 	if len(sm.Meta) == 0 {
@@ -308,24 +299,16 @@ func (sv *Server) registerCold(sm store.StreamMeta) error {
 		return &store.CorruptError{Stream: sm.ID, Path: manifestPath,
 			Reason: fmt.Sprintf("manifest names stream %q", info.ID)}
 	}
-	s, err := sv.newStreamShell(info)
+	s, err := sv.newStreamShell(info, int(sm.LastSeq))
 	if err != nil {
 		return &store.CorruptError{Stream: sm.ID, Path: manifestPath, Reason: "stream info rejected", Err: err}
 	}
 	s.cold = &sm
-	s.learned = int(sm.LastSeq)
-	s.cut.Store(int64(sm.LastSeq))
-	s.lastPeriod.Store(int64(sm.LastSeq))
-	if sm.CompactedAtUnixNS > 0 {
-		s.ckptUnixNS.Store(sm.CompactedAtUnixNS)
-	}
+	s.ckptUnixNS.Store(sm.CompactedAtUnixNS)
 	if s.driftEnabled && sm.LastGeneration > 0 {
 		s.genA.Store(int64(sm.LastGeneration))
 	}
-	if err := sv.register(s); err != nil {
-		return err
-	}
-	return nil
+	return sv.register(s)
 }
 
 // Shutdown drains every stream (remaining queued periods are learned,
@@ -354,140 +337,125 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// newStreamShell builds a stream minus its learner and drift monitor:
-// parser, channels, metrics and the trace bridge. The caller either
-// hydrates the shell eagerly (addStream) or registers it cold
-// (registerCold).
-func (sv *Server) newStreamShell(info StreamInfo) (*stream, error) {
+// newStreamShell builds a stream minus its owner state: parser,
+// channels, service instruments and the trace bridge, with its period
+// counters at learned, the count its state will come up with. Every
+// stream starts here; install fills in the rest, eagerly for create
+// and import (addStream), on first use for restore (registerCold).
+func (sv *Server) newStreamShell(info StreamInfo, learned int) (*stream, error) {
 	p, err := newParser(info.Tasks, info.BitRate, info.PeriodUS)
 	if err != nil {
 		return nil, err
 	}
 	s := &stream{
-		id:              info.ID,
-		info:            info,
-		opt:             info.Options.options(),
-		parser:          p,
-		driftEnabled:    info.Drift != nil && info.Drift.Enabled,
-		queue:           make(chan queuedPeriod, sv.cfg.QueueDepth),
-		reqs:            make(chan func(*learner.Online)),
-		closing:         make(chan struct{}),
-		done:            make(chan struct{}),
-		store:           sv.store,
-		tracer:          sv.cfg.Tracer,
-		mLatency:        sv.mLatency,
-		mOfferedLines:   sv.mOfferedLines,
-		mShedLines:      sv.mShedLines,
-		mPeriodsLearned: sv.mPeriodsLearned,
-		mAlarmPeriods:   sv.mAlarmPeriods,
-		mDriftLag:       sv.mDriftLag,
+		id:                info.ID,
+		info:              info,
+		opt:               info.Options.options(),
+		parser:            p,
+		learned:           learned,
+		driftEnabled:      info.Drift != nil && info.Drift.Enabled,
+		queue:             make(chan queuedPeriod, sv.cfg.QueueDepth),
+		reqs:              make(chan func(*learner.Online)),
+		closing:           make(chan struct{}),
+		done:              make(chan struct{}),
+		store:             sv.store,
+		tracer:            sv.cfg.Tracer,
+		sharedInstruments: &sv.sharedInstruments,
 	}
+	s.cut.Store(int64(learned))
+	s.lastPeriod.Store(int64(learned))
 	if sv.cfg.Tracer != nil {
 		s.bridge = &phaseBridge{tracer: sv.cfg.Tracer}
 		s.opt.Observer = s.bridge
 	}
-	if reg := sv.cfg.Registry; reg != nil {
-		s.mQueueDepth = reg.LabeledGauge("serve_queue_depth",
-			"Ingest queue occupancy per stream.", "stream", s.id)
-		s.mPeriods = reg.LabeledCounter("serve_periods_total",
-			"Periods cut and queued per stream.", "stream", s.id)
-		s.mShed = reg.LabeledCounter("serve_shed_total",
-			"Ingest batches shed with 429 per stream.", "stream", s.id)
-		if s.driftEnabled {
-			s.mDriftGen = reg.LabeledGauge(obs.MetricDriftGeneration,
-				"Current model generation per stream.", "stream", s.id)
-			s.mDriftStreak = reg.LabeledGauge(obs.MetricDriftStreak,
-				"Stability streak (periods with an unchanged model) per stream.", "stream", s.id)
-			s.mDriftAmbig = reg.LabeledFloatGauge(obs.MetricDriftAmbiguity,
-				"Fraction of task pairs with a conditional dependency per stream.", "stream", s.id)
-			s.mDriftAlarms = reg.LabeledCounter(obs.MetricDriftAlarms,
-				"Model change-point alarms per stream.", "stream", s.id)
-		}
-	}
 	return s, nil
 }
 
-// register publishes a fully built stream and starts its owner
-// goroutine.
+// streamSeries is the one table of per-stream metric series, each
+// labeled stream="<id>": register binds them once the stream's ID is
+// known to be free, and retire unregisters the same list.
+var streamSeries = []struct {
+	name, help string
+	drift      bool // drift-enabled streams only
+	bind       func(s *stream, r *obs.Registry, name, help string)
+}{
+	{"serve_queue_depth", "Ingest queue occupancy per stream.", false,
+		func(s *stream, r *obs.Registry, n, h string) { s.mQueueDepth = r.LabeledGauge(n, h, "stream", s.id) }},
+	{"serve_periods_total", "Periods cut and queued per stream.", false,
+		func(s *stream, r *obs.Registry, n, h string) { s.mPeriods = r.LabeledCounter(n, h, "stream", s.id) }},
+	{"serve_shed_total", "Ingest batches shed with 429 per stream.", false,
+		func(s *stream, r *obs.Registry, n, h string) { s.mShed = r.LabeledCounter(n, h, "stream", s.id) }},
+	{obs.MetricDriftGeneration, "Current model generation per stream.", true,
+		func(s *stream, r *obs.Registry, n, h string) { s.mDriftGen = r.LabeledGauge(n, h, "stream", s.id) }},
+	{obs.MetricDriftStreak, "Stability streak (periods with an unchanged model) per stream.", true,
+		func(s *stream, r *obs.Registry, n, h string) { s.mDriftStreak = r.LabeledGauge(n, h, "stream", s.id) }},
+	{obs.MetricDriftAmbiguity, "Fraction of task pairs with a conditional dependency per stream.", true,
+		func(s *stream, r *obs.Registry, n, h string) {
+			s.mDriftAmbig = r.LabeledFloatGauge(n, h, "stream", s.id)
+		}},
+	{obs.MetricDriftAlarms, "Model change-point alarms per stream.", true,
+		func(s *stream, r *obs.Registry, n, h string) { s.mDriftAlarms = r.LabeledCounter(n, h, "stream", s.id) }},
+}
+
+// register publishes a built stream and starts its owner goroutine. It
+// binds the stream's series only after the ID is known to be free, so
+// a refused stream never touches the series of a live one, and seeds
+// them with the installed drift view (the owner is not running yet).
 func (sv *Server) register(s *stream) error {
 	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	if sv.closed {
-		sv.mu.Unlock()
-		sv.dropStreamMetrics(s)
 		return errServerClosed
 	}
 	if _, dup := sv.streams[s.id]; dup {
-		sv.mu.Unlock()
-		sv.dropStreamMetrics(s)
 		return fmt.Errorf("serve: stream %q: %w", s.id, errStreamExists)
 	}
-	sv.streams[s.id] = s
-	if sv.mStreams != nil {
-		sv.mStreams.Set(int64(len(sv.streams)))
+	for _, ss := range streamSeries {
+		if !ss.drift || s.driftEnabled {
+			ss.bind(s, sv.cfg.Registry, ss.name, ss.help)
+		}
 	}
-	sv.mu.Unlock()
-
+	s.publishDriftView()
+	sv.publishLocked(s)
 	go s.run()
 	return nil
 }
 
-// addStream wires up a hot stream (fresh when snap is nil, else
-// restored from the snapshot, with dst the drift-monitor state),
-// creates its store entry and starts its owner goroutine.
-func (sv *Server) addStream(info StreamInfo, snap *learner.Snapshot, learned int, dst *drift.State) (*stream, error) {
+// addStream brings a stream up eagerly, so its errors answer the
+// request: fresh for create (cf nil), else from the decoded envelope
+// cf of an import, whose validated bytes env become the stream's first
+// store base. learned is the stream's period count.
+func (sv *Server) addStream(info StreamInfo, cf *checkpointFile, learned int, env []byte) (*stream, error) {
 	if sv.cfg.CheckpointDir != "" && sv.storeErr != nil {
 		return nil, sv.storeErr
 	}
-	s, err := sv.newStreamShell(info)
+	s, err := sv.newStreamShell(info, learned)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.buildLearner(snap); err != nil {
-		sv.dropStreamMetrics(s)
-		return nil, err
-	}
-	if err := s.buildMonitor(dst); err != nil {
-		sv.dropStreamMetrics(s)
-		return nil, fmt.Errorf("serve: stream %s %w", info.ID, err)
-	}
-	s.learned = learned
-	s.hydrated = true
-	s.hydratedA.Store(true)
-	s.cut.Store(int64(learned))
-	s.lastPeriod.Store(int64(learned))
-	s.publishDriftView()
+	var st *store.Stream
 	if sv.store != nil {
 		meta, err := json.Marshal(info)
 		if err != nil {
-			sv.dropStreamMetrics(s)
 			return nil, err
 		}
-		// A stream born with learned state (checkpoint import) seeds its
-		// store entry with that state as the base snapshot, or a restart
-		// before its first local compaction would hydrate a fresh
-		// learner and replay WAL deltas against the wrong baseline.
-		var base []byte
-		if snap != nil {
-			if base, err = encodeCheckpoint(info, snap, dst); err != nil {
-				sv.dropStreamMetrics(s)
-				return nil, err
-			}
-		}
-		st, err := sv.store.Create(info.ID, meta, base, uint64(learned))
-		if err != nil {
-			sv.dropStreamMetrics(s)
+		// An imported stream's entry starts from the envelope as its
+		// base, so a restart before its first local compaction replays
+		// WAL deltas against the right baseline.
+		if st, err = sv.store.Create(info.ID, meta, env, uint64(learned)); err != nil {
 			if errors.Is(err, store.ErrExists) {
-				return nil, fmt.Errorf("serve: stream %q: %w", info.ID, errStreamExists)
+				err = fmt.Errorf("serve: stream %q: %w", info.ID, errStreamExists)
 			}
 			return nil, err
 		}
-		s.st = st
-		s.stA.Store(st)
 	}
-	if err := sv.register(s); err != nil {
-		if s.st != nil {
+	if err = s.install(cf, nil, learned, st); err == nil {
+		err = sv.register(s)
+	}
+	if err != nil {
+		if st != nil {
 			// We created the entry above, so nothing else references it.
-			s.st.Close()
+			st.Close()
 			_ = sv.store.Remove(info.ID)
 		}
 		return nil, err
@@ -495,19 +463,44 @@ func (sv *Server) addStream(info StreamInfo, snap *learner.Snapshot, learned int
 	return s, nil
 }
 
-func (sv *Server) dropStreamMetrics(s *stream) {
-	reg := sv.cfg.Registry
-	if reg == nil {
-		return
+// publishLocked makes s findable by its ID; sv.mu must be held.
+func (sv *Server) publishLocked(s *stream) {
+	sv.streams[s.id] = s
+	sv.mStreams.Set(int64(len(sv.streams)))
+}
+
+// unpublish removes the stream from the map, so no new request finds
+// it, and returns it (nil when this server owns no such stream). The
+// first step of delete and export alike.
+func (sv *Server) unpublish(id string) *stream {
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	s := sv.streams[id]
+	if s != nil {
+		delete(sv.streams, id)
+		sv.mStreams.Set(int64(len(sv.streams)))
 	}
-	reg.Unregister(obs.SeriesName("serve_queue_depth", "stream", s.id))
-	reg.Unregister(obs.SeriesName("serve_periods_total", "stream", s.id))
-	reg.Unregister(obs.SeriesName("serve_shed_total", "stream", s.id))
-	if s.driftEnabled {
-		reg.Unregister(obs.SeriesName(obs.MetricDriftGeneration, "stream", s.id))
-		reg.Unregister(obs.SeriesName(obs.MetricDriftStreak, "stream", s.id))
-		reg.Unregister(obs.SeriesName(obs.MetricDriftAmbiguity, "stream", s.id))
-		reg.Unregister(obs.SeriesName(obs.MetricDriftAlarms, "stream", s.id))
+	return s
+}
+
+// retire takes an unpublished stream down for good: its owner drains
+// and exits (releasing its store handle), then its durable state and
+// its per-stream series are deleted. The series stay if a new stream
+// of the same ID was registered meanwhile, since it shares them.
+func (sv *Server) retire(s *stream) {
+	s.close()
+	<-s.done
+	if sv.store != nil {
+		if err := sv.store.Remove(s.id); err != nil {
+			sv.logf("serve: retire %s: remove store state: %v", s.id, err)
+		}
+	}
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if _, reborn := sv.streams[s.id]; !reborn {
+		for _, ss := range streamSeries {
+			sv.cfg.Registry.Unregister(obs.SeriesName(ss.name, "stream", s.id))
+		}
 	}
 }
 
@@ -804,28 +797,12 @@ func (sv *Server) handleDebugStreams(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sv.mu.Lock()
-	s, ok := sv.streams[id]
-	if ok {
-		delete(sv.streams, id)
-		if sv.mStreams != nil {
-			sv.mStreams.Set(int64(len(sv.streams)))
-		}
-	}
-	sv.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no stream %q", id))
+	s := sv.unpublish(r.PathValue("id"))
+	if s == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no stream %q", r.PathValue("id")))
 		return
 	}
-	s.close()
-	<-s.done
-	if sv.store != nil { // the owner has exited and closed its handle
-		if err := sv.store.Remove(id); err != nil {
-			sv.logf("serve: delete %s: %v", id, err)
-		}
-	}
-	sv.dropStreamMetrics(s)
+	sv.retire(s)
 	w.WriteHeader(http.StatusNoContent)
 }
 

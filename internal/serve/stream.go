@@ -137,8 +137,12 @@ type stream struct {
 	mDriftAmbig  *obs.FloatGauge // modelgen_drift_ambiguity_ratio{stream}
 	mDriftAlarms *obs.Counter    // modelgen_drift_alarms_total{stream}
 
-	// Service-wide instruments shared by every stream (owned by the
-	// Server; nil without a registry).
+	*sharedInstruments
+}
+
+// sharedInstruments are the service-wide instruments every stream
+// updates, owned by the Server (nil without a registry).
+type sharedInstruments struct {
 	mLatency        *obs.Histogram // serve_ingest_latency_seconds
 	mOfferedLines   *obs.Counter   // serve_ingest_offered_lines_total
 	mShedLines      *obs.Counter   // serve_ingest_shed_lines_total
@@ -160,9 +164,7 @@ func (s *stream) deadErr() error {
 // parent is the request's ingest span context (zero when tracing is
 // off); cut periods carry it into the owner's learn_period span.
 func (s *stream) ingest(lines []string, parent obs.SpanContext) (resp IngestResponse, shed bool, err error) {
-	if s.mOfferedLines != nil {
-		s.mOfferedLines.Add(int64(len(lines)))
-	}
+	s.mOfferedLines.Add(int64(len(lines)))
 	if err := s.deadErr(); err != nil {
 		return resp, false, fmt.Errorf("serve: stream %s is dead: %w", s.id, err)
 	}
@@ -189,12 +191,8 @@ func (s *stream) ingest(lines []string, parent obs.SpanContext) (resp IngestResp
 	// either fits entirely or is shed entirely.
 	if cap(s.queue)-len(s.queue) < len(periods) {
 		s.shed.Add(1)
-		if s.mShed != nil {
-			s.mShed.Inc()
-		}
-		if s.mShedLines != nil {
-			s.mShedLines.Add(int64(len(lines)))
-		}
+		s.mShed.Inc()
+		s.mShedLines.Add(int64(len(lines)))
 		return resp, true, fmt.Errorf("serve: stream %s ingest queue full (%d periods over %d free slots)",
 			s.id, len(periods), cap(s.queue)-len(s.queue))
 	}
@@ -208,12 +206,8 @@ func (s *stream) ingest(lines []string, parent obs.SpanContext) (resp IngestResp
 	}
 	s.parser = cp
 	s.cut.Add(int64(len(periods)))
-	if s.mPeriods != nil {
-		s.mPeriods.Add(int64(len(periods)))
-	}
-	if s.mQueueDepth != nil {
-		s.mQueueDepth.Set(int64(len(s.queue)))
-	}
+	s.mPeriods.Add(int64(len(periods)))
+	s.mQueueDepth.Set(int64(len(s.queue)))
 	return IngestResponse{Lines: len(lines), Periods: len(periods), QueueDepth: len(s.queue)}, false, nil
 }
 
@@ -277,9 +271,7 @@ func (s *stream) drain() {
 		case p := <-s.queue:
 			s.consume(p)
 		default:
-			if s.mQueueDepth != nil {
-				s.mQueueDepth.Set(0)
-			}
+			s.mQueueDepth.Set(0)
 			return
 		}
 	}
@@ -295,11 +287,7 @@ func (s *stream) consume(qp queuedPeriod) {
 	}
 	sp := s.tracer.StartSpan("learn_period", qp.ctx)
 	if s.bridge != nil {
-		if sp != nil {
-			s.bridge.setParent(sp.Context())
-		} else {
-			s.bridge.setParent(obs.SpanContext{})
-		}
+		s.bridge.setParent(sp.Context()) // zero when the period is untraced
 	}
 	// forked/replayed steer persistence: a forked period appends a
 	// Fork WAL record; only a replayed fork has learner state (a
@@ -342,24 +330,18 @@ func (s *stream) consume(qp queuedPeriod) {
 		return
 	}
 	s.learned++
-	if s.mPeriodsLearned != nil {
-		s.mPeriodsLearned.Inc()
-	}
+	s.mPeriodsLearned.Inc()
 	s.publishDriftView()
 	s.lastPeriod.Store(int64(s.learned))
 	s.liveWS.Store(int64(s.o.WorkingSetSize()))
-	if s.mLatency != nil {
-		// Ingest→model-update latency: enqueue to committed learn.
-		d := time.Since(qp.enq).Seconds()
-		if sp != nil {
-			s.mLatency.ObserveExemplar(d, sp.Context().TraceID.String(), time.Now())
-		} else {
-			s.mLatency.Observe(d)
-		}
+	// Ingest→model-update latency: enqueue to committed learn.
+	d := time.Since(qp.enq).Seconds()
+	if sp != nil {
+		s.mLatency.ObserveExemplar(d, sp.Context().TraceID.String(), time.Now())
+	} else {
+		s.mLatency.Observe(d)
 	}
-	if s.mQueueDepth != nil {
-		s.mQueueDepth.Set(int64(len(s.queue)))
-	}
+	s.mQueueDepth.Set(int64(len(s.queue)))
 	s.persistPeriod(forked, replayed)
 }
 
@@ -368,33 +350,23 @@ func (s *stream) consume(qp queuedPeriod) {
 // generation, keeping the stream alive across regime changes. Owner
 // goroutine only.
 func (s *stream) forkGeneration(ev *drift.Event, sp *obs.TraceSpan) error {
-	o, err := learner.NewOnline(s.info.Tasks, s.opt)
-	if err != nil {
+	if err := s.buildLearner(nil); err != nil {
 		return err
 	}
-	s.o = o
-	if s.mDriftAlarms != nil {
-		s.mDriftAlarms.Inc()
+	s.mDriftAlarms.Inc()
+	s.mAlarmPeriods.Inc()
+	lag := float64(ev.Period - ev.ChangePoint)
+	if ev.Forced {
+		lag = 0 // the offending period itself raised the alarm
 	}
-	if s.mAlarmPeriods != nil {
-		s.mAlarmPeriods.Inc()
-	}
-	if s.mDriftLag != nil {
-		lag := float64(ev.Period - ev.ChangePoint)
-		if ev.Forced {
-			lag = 0 // the offending period itself raised the alarm
-		}
-		// The alarm path gets an exemplar: the trace of the request
-		// whose period tripped the detector.
-		if sp != nil {
-			s.mDriftLag.ObserveExemplar(lag, sp.Context().TraceID.String(), time.Now())
-		} else {
-			s.mDriftLag.Observe(lag)
-		}
-	}
+	// The alarm path gets an exemplar: the trace of the request
+	// whose period tripped the detector.
 	if sp != nil {
+		s.mDriftLag.ObserveExemplar(lag, sp.Context().TraceID.String(), time.Now())
 		sp.SetAttr("drift_generation", strconv.Itoa(ev.Generation))
 		sp.SetAttr("drift_change_point", strconv.Itoa(ev.ChangePoint))
+	} else {
+		s.mDriftLag.Observe(lag)
 	}
 	return nil
 }
@@ -412,11 +384,9 @@ func (s *stream) publishDriftView() {
 	s.streakA.Store(streak)
 	s.lastCPA.Store(int64(s.mon.LastChangePoint()))
 	s.ambigBits.Store(math.Float64bits(ambig))
-	if s.mDriftGen != nil {
-		s.mDriftGen.Set(gen)
-		s.mDriftStreak.Set(streak)
-		s.mDriftAmbig.Set(ambig)
-	}
+	s.mDriftGen.Set(gen)
+	s.mDriftStreak.Set(streak)
+	s.mDriftAmbig.Set(ambig)
 }
 
 // checkpointFile is the one envelope around a persisted learner
@@ -501,11 +471,10 @@ func (s *stream) persistErr() error {
 	return nil
 }
 
-// ensureHydrated pages a cold stream's state in before first use:
-// base snapshot, WAL replay, drift-monitor restore. It runs on the
-// owner goroutine only and at most once; a failure marks the stream
-// sticky-dead exactly like a learner error, so corrupt state surfaces
-// on the API instead of crashing the process.
+// ensureHydrated pages a cold (restored) stream's state in before first
+// use. It runs on the owner goroutine only and at most once; a failure
+// marks the stream sticky-dead exactly like a learner error, so corrupt
+// state surfaces on the API instead of crashing the process.
 func (s *stream) ensureHydrated() {
 	if s.hydrated {
 		return
@@ -515,65 +484,66 @@ func (s *stream) ensureHydrated() {
 	if err := s.hydrate(); err != nil {
 		e := fmt.Errorf("serve: stream %s: hydrate: %w", s.id, err)
 		s.dead.Store(&e)
+		s.o, s.mon = nil, nil // no half-replayed state behind the sticky error
 		return
 	}
-	s.hydratedA.Store(true)
-	if s.store != nil {
-		s.store.ObserveHydration(time.Since(start))
-	}
-	s.publishDriftView()
-	s.liveWS.Store(int64(s.o.WorkingSetSize()))
+	s.store.ObserveHydration(time.Since(start))
 }
 
-// hydrate rebuilds the owner's in-memory state from the store: decode
-// the base snapshot, replay the WAL records beyond it (a Fork record
-// swaps in a fresh learner for the new generation), and restore the
-// drift monitor from the newest state on disk. The result is
+// hydrate opens the stream's store handle and installs what it holds:
+// the base snapshot plus the WAL records beyond it. The result is
 // bit-identical to the learner the previous process had made durable.
 func (s *stream) hydrate() error {
-	if s.store == nil {
-		// In-memory stream: nothing on disk, just build the learner.
-		return s.buildLearner(nil)
-	}
 	st, err := s.store.OpenStream(s.id)
 	if err != nil {
 		return err
 	}
+	var cf *checkpointFile
 	base, recs, err := st.Load()
+	if err == nil && base != nil {
+		if cf, err = decodeCheckpoint(base); err != nil {
+			err = fmt.Errorf("base snapshot: %w", err)
+		}
+	}
+	if err == nil {
+		err = s.install(cf, recs, int(st.LastSeq()), st)
+	}
 	if err != nil {
 		st.Close()
-		return err
 	}
+	return err
+}
+
+// install is the one way a stream's owner state comes up, whatever its
+// source: nothing (create: cf and recs nil), a decoded envelope
+// (import), or a store handle's base and the WAL records beyond it
+// (restore). It builds the learner from cf's snapshot and replays recs
+// (a Fork record swaps in a fresh learner for the new generation),
+// restores the drift monitor from the newest state seen, and takes over
+// st (nil for an in-memory stream) along with the period count learned.
+// Create and import call it before the owner goroutine starts,
+// hydration on it.
+func (s *stream) install(cf *checkpointFile, recs []store.Record, learned int, st *store.Stream) error {
 	var snap *learner.Snapshot
 	var dst *drift.State
-	if base != nil {
-		cf, err := decodeCheckpoint(base)
-		if err != nil {
-			st.Close()
-			return fmt.Errorf("base snapshot: %w", err)
-		}
-		snap = cf.Snapshot
-		dst = cf.Drift
+	if cf != nil {
+		snap, dst = cf.Snapshot, cf.Drift
 	}
 	if err := s.buildLearner(snap); err != nil {
-		st.Close()
 		return err
 	}
 	for _, r := range recs {
 		var e walEntry
 		if err := json.Unmarshal(r.Payload, &e); err != nil {
-			st.Close()
 			return fmt.Errorf("wal record seq %d: %w", r.Seq, err)
 		}
 		if r.Fork {
 			if err := s.buildLearner(nil); err != nil {
-				st.Close()
 				return err
 			}
 		}
 		if e.Delta != nil {
 			if err := s.o.ApplyDelta(e.Delta); err != nil {
-				st.Close()
 				return fmt.Errorf("wal record seq %d: %w", r.Seq, err)
 			}
 		}
@@ -581,16 +551,28 @@ func (s *stream) hydrate() error {
 			dst = e.Drift
 		}
 	}
-	if err := s.buildMonitor(dst); err != nil {
-		st.Close()
-		return err
+	if s.driftEnabled {
+		cfg := s.info.Drift.config(s.opt.Policy)
+		s.mon = drift.New(cfg)
+		if dst != nil {
+			mon, err := drift.Restore(*dst, cfg)
+			if err != nil {
+				return fmt.Errorf("drift state: %w", err)
+			}
+			s.mon = mon
+		}
 	}
-	s.learned = int(st.LastSeq())
-	if ns := st.Stats().CompactedAtUnixNS; ns > 0 {
-		s.ckptUnixNS.Store(ns)
-	}
+	s.learned = learned
+	s.lastPeriod.Store(int64(learned))
+	s.liveWS.Store(int64(s.o.WorkingSetSize()))
+	s.publishDriftView()
 	s.st = st
 	s.stA.Store(st)
+	if st != nil {
+		s.ckptUnixNS.Store(st.Stats().CompactedAtUnixNS)
+	}
+	s.hydrated = true
+	s.hydratedA.Store(true)
 	return nil
 }
 
@@ -604,26 +586,6 @@ func (s *stream) buildLearner(snap *learner.Snapshot) error {
 		s.o, err = learner.RestoreOnline(snap, s.opt)
 	}
 	return err
-}
-
-// buildMonitor creates the drift monitor of a drift-enabled stream,
-// restored from dst when non-nil; consume feeds it from the next
-// learned period on.
-func (s *stream) buildMonitor(dst *drift.State) error {
-	if !s.driftEnabled {
-		return nil
-	}
-	cfg := s.info.Drift.config(s.opt.Policy)
-	if dst == nil {
-		s.mon = drift.New(cfg)
-		return nil
-	}
-	mon, err := drift.Restore(*dst, cfg)
-	if err != nil {
-		return fmt.Errorf("drift state: %w", err)
-	}
-	s.mon = mon
-	return nil
 }
 
 // persistPeriod makes the period just consumed durable: one O(delta)

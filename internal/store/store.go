@@ -132,14 +132,13 @@ func Open(opt Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	st := &Store{dir: opt.Dir, opt: opt}
-	if r := opt.Registry; r != nil {
-		st.mRecords = r.Counter(obs.MetricStoreWALRecords, "period records appended to stream WALs")
-		st.mBytes = r.Counter(obs.MetricStoreWALBytes, "bytes appended to stream WALs, frames included")
-		st.mCompactions = r.Counter(obs.MetricStoreCompactions, "WAL-into-base compactions")
-		st.mHydrations = r.Counter(obs.MetricStoreHydrations, "lazy stream hydrations")
-		st.hHydration = r.Histogram(obs.MetricStoreHydrationSeconds, "stream hydration latency in seconds", obs.HydrationSecondsBuckets)
-		st.gDirty = r.Gauge(obs.MetricStoreDirtyStreams, "open streams with WAL records not yet compacted")
-	}
+	r := opt.Registry
+	st.mRecords = r.Counter(obs.MetricStoreWALRecords, "period records appended to stream WALs")
+	st.mBytes = r.Counter(obs.MetricStoreWALBytes, "bytes appended to stream WALs, frames included")
+	st.mCompactions = r.Counter(obs.MetricStoreCompactions, "WAL-into-base compactions")
+	st.mHydrations = r.Counter(obs.MetricStoreHydrations, "lazy stream hydrations")
+	st.hHydration = r.Histogram(obs.MetricStoreHydrationSeconds, "stream hydration latency in seconds", obs.HydrationSecondsBuckets)
+	st.gDirty = r.Gauge(obs.MetricStoreDirtyStreams, "open streams with WAL records not yet compacted")
 	return st, nil
 }
 
@@ -442,9 +441,7 @@ func (st *Store) openStream(id string, m manifest) (*Stream, error) {
 		last := recs[len(recs)-1]
 		s.lastSeq = last.Seq
 		s.lastGen = last.Generation
-		if st.gDirty != nil {
-			st.gDirty.Add(1)
-		}
+		st.gDirty.Add(1)
 		s.dirty = true
 	}
 	s.sweepStaleEpochs()
@@ -484,10 +481,8 @@ func (s *Stream) sweepStaleEpochs() {
 
 // ObserveHydration records one lazy hydration in the store metrics.
 func (st *Store) ObserveHydration(d time.Duration) {
-	if st.mHydrations != nil {
-		st.mHydrations.Inc()
-		st.hHydration.Observe(d.Seconds())
-	}
+	st.mHydrations.Inc()
+	st.hHydration.Observe(d.Seconds())
 }
 
 // writeFileSync writes b (nil writes an empty file) and fsyncs before

@@ -113,14 +113,10 @@ func (s *Stream) Append(rec Record) error {
 	s.lastGen = rec.Generation
 	if !s.dirty {
 		s.dirty = true
-		if s.st.gDirty != nil {
-			s.st.gDirty.Add(1)
-		}
+		s.st.gDirty.Add(1)
 	}
-	if s.st.mRecords != nil {
-		s.st.mRecords.Inc()
-		s.st.mBytes.Add(int64(len(buf)))
-	}
+	s.st.mRecords.Inc()
+	s.st.mBytes.Add(int64(len(buf)))
 	s.publishStats()
 	return nil
 }
@@ -226,13 +222,9 @@ func (s *Stream) Compact(base []byte, basePeriods uint64, meta []byte, now time.
 	s.lastSeq = basePeriods
 	if s.dirty {
 		s.dirty = false
-		if s.st.gDirty != nil {
-			s.st.gDirty.Add(-1)
-		}
+		s.st.gDirty.Add(-1)
 	}
-	if s.st.mCompactions != nil {
-		s.st.mCompactions.Inc()
-	}
+	s.st.mCompactions.Inc()
 	s.publishStats()
 	return nil
 }
@@ -242,9 +234,7 @@ func (s *Stream) Compact(base []byte, basePeriods uint64, meta []byte, now time.
 func (s *Stream) Close() error {
 	if s.dirty {
 		s.dirty = false
-		if s.st.gDirty != nil {
-			s.st.gDirty.Add(-1)
-		}
+		s.st.gDirty.Add(-1)
 	}
 	if s.f == nil {
 		return nil
