@@ -37,7 +37,7 @@ type progressObserver struct{ modelgen.NopObserver }
 func (progressObserver) OnPeriodEnd(e modelgen.PeriodEndEvent) {
 	skipped := ""
 	if e.Skipped {
-		skipped = ", skipped: shape already learned"
+		skipped = ", skipped: shape learned or hypothesis saturated"
 	}
 	fmt.Fprintf(os.Stderr, "period %4d: %d hypotheses (dropped %d, weight %d..%d%s)\n",
 		e.Period, e.Live, e.Dropped, e.WeightMin, e.WeightMax, skipped)

@@ -2,7 +2,7 @@ package depfunc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/blackbox-rt/modelgen/internal/lattice"
 	"github.com/blackbox-rt/modelgen/internal/trace"
@@ -21,8 +21,8 @@ import (
 //     hypothesis admits a message on that pair, i.e. → ⊑ d(s,r) and
 //     ← ⊑ d(r,s).
 //
-// Condition 2 is a constrained bipartite matching; Match solves it by
-// backtracking over messages in ascending candidate-count order.
+// Condition 2 is a bipartite matching of messages to ordered pairs;
+// Match solves it with a Matcher.
 func Match(d *DepFunc, p *trace.Period, pol CandidatePolicy) bool {
 	return MatchExplain(d, p, pol) == nil
 }
@@ -52,9 +52,7 @@ func MatchExplain(d *DepFunc, p *trace.Period, pol CandidatePolicy) error {
 	// Condition 2: message assignment.
 	cands := Candidates(p, ts, pol)
 	allowed := make([][]Pair, len(cands))
-	order := make([]int, len(cands))
 	for mi, pairs := range cands {
-		order[mi] = mi
 		for _, pr := range pairs {
 			if lattice.AllowsOutgoingMessage(d.At(pr.S, pr.R)) &&
 				lattice.AllowsIncomingMessage(d.At(pr.R, pr.S)) {
@@ -66,29 +64,57 @@ func MatchExplain(d *DepFunc, p *trace.Period, pol CandidatePolicy) error {
 				p.Index, p.Msgs[mi].ID)
 		}
 	}
-	// Most-constrained message first.
-	sort.SliceStable(order, func(a, b int) bool { return len(allowed[order[a]]) < len(allowed[order[b]]) })
-	used := make(map[Pair]bool, len(cands))
-	if !assign(order, allowed, used, 0) {
+	var m Matcher
+	if !m.Assignable(allowed) {
 		return fmt.Errorf("depfunc: period %d: no consistent assignment of %d messages to sender/receiver pairs",
 			p.Index, len(p.Msgs))
 	}
 	return nil
 }
 
-func assign(order []int, allowed [][]Pair, used map[Pair]bool, k int) bool {
-	if k == len(order) {
-		return true
+// Matcher decides whether a period's messages can be explained on
+// distinct (sender, receiver) pairs, at most one message per ordered
+// pair: a bipartite matching of messages to pairs, grown one message
+// at a time along augmenting paths (Kuhn's algorithm). Its scratch is
+// per message and reused call after call, so a Matcher that has once
+// grown to a period's message count allocates nothing. The zero value
+// is ready to use; a Matcher is not safe for concurrent use.
+type Matcher struct {
+	pair  []Pair   // message → its assigned pair, for the messages matched so far
+	seen  []uint32 // message → the last augmentation round that visited it
+	round uint32
+}
+
+// Assignable reports whether every message can be assigned its own
+// pair, allowed[m] listing the pairs message m may use. A message
+// without pairs makes the answer false.
+func (m *Matcher) Assignable(allowed [][]Pair) bool {
+	if k := len(allowed); cap(m.pair) < k {
+		m.pair = make([]Pair, k)
+		m.seen = make([]uint32, k)
 	}
-	for _, pr := range allowed[order[k]] {
-		if used[pr] {
-			continue
+	clear(m.seen[:len(allowed)])
+	for mi := range allowed {
+		m.round = uint32(mi + 1)
+		if !m.augment(allowed, mi, mi) {
+			return false
 		}
-		used[pr] = true
-		if assign(order, allowed, used, k+1) {
+	}
+	return true
+}
+
+// augment looks for a pair for message v while messages 0..matched-1
+// hold one each: it takes a free pair of v's, or one whose holder can
+// move to another of its own pairs, and reports whether it found one.
+// Each round visits a message at most once.
+func (m *Matcher) augment(allowed [][]Pair, v, matched int) bool {
+	m.seen[v] = m.round
+	for _, pr := range allowed[v] {
+		o := slices.Index(m.pair[:matched], pr)
+		if o < 0 || m.seen[o] != m.round && m.augment(allowed, o, matched) {
+			m.pair[v] = pr
 			return true
 		}
-		delete(used, pr)
 	}
 	return false
 }

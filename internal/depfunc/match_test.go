@@ -1,6 +1,7 @@
 package depfunc
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/blackbox-rt/modelgen/internal/lattice"
@@ -220,5 +221,85 @@ func TestMatchTraceAllMatchIndex(t *testing.T) {
 	ts := MustTaskSet(tr.Tasks...)
 	if _, idx := MatchTrace(Top(ts), tr, CandidatePolicy{}); idx != -1 {
 		t.Errorf("index = %d, want -1", idx)
+	}
+}
+
+// assignableBrute is the reference for Matcher.Assignable: it tries
+// every pair for every message, in order.
+func assignableBrute(allowed [][]Pair, used map[Pair]bool, k int) bool {
+	if k == len(allowed) {
+		return true
+	}
+	for _, pr := range allowed[k] {
+		if used[pr] {
+			continue
+		}
+		used[pr] = true
+		ok := assignableBrute(allowed, used, k+1)
+		delete(used, pr)
+		if ok {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMatcherAgreesWithBruteForce: on random message/pair lists over
+// up to four tasks, with more messages than pairs in some, the
+// augmenting-path matcher agrees with exhaustive search, call after
+// call on one reused Matcher.
+func TestMatcherAgreesWithBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var m Matcher
+	var yes, no int
+	for trial := 0; trial < 3000; trial++ {
+		n := 2 + rng.Intn(3)
+		allowed := make([][]Pair, rng.Intn(7))
+		for mi := range allowed {
+			for range rng.Intn(4) {
+				s, r := rng.Intn(n), rng.Intn(n)
+				if s != r {
+					allowed[mi] = append(allowed[mi], Pair{S: s, R: r})
+				}
+			}
+		}
+		want := assignableBrute(allowed, map[Pair]bool{}, 0)
+		if got := m.Assignable(allowed); got != want {
+			t.Fatalf("trial %d: Assignable(%v) = %v, want %v", trial, allowed, got, want)
+		}
+		if want {
+			yes++
+		} else {
+			no++
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Fatalf("%d assignable and %d unassignable inputs; test premise broken", yes, no)
+	}
+}
+
+// TestMatcherPigeonhole: k+1 messages over the same k pairs have no
+// assignment. Search that backtracks over messages tries k! partial
+// assignments before it gives up; the matcher answers in polynomial
+// time and, once grown, without allocating.
+func TestMatcherPigeonhole(t *testing.T) {
+	const n = 12
+	var pairs []Pair
+	for r := 1; r < n; r++ {
+		pairs = append(pairs, Pair{S: 0, R: r})
+	}
+	allowed := make([][]Pair, len(pairs)+1)
+	for i := range allowed {
+		allowed[i] = pairs
+	}
+	var m Matcher
+	if m.Assignable(allowed) {
+		t.Fatal("more messages than pairs reported assignable")
+	}
+	if !m.Assignable(allowed[1:]) {
+		t.Fatal("as many messages as pairs reported unassignable")
+	}
+	if a := testing.AllocsPerRun(20, func() { m.Assignable(allowed) }); a != 0 {
+		t.Errorf("Assignable allocates %.0f times per call", a)
 	}
 }

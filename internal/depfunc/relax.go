@@ -48,6 +48,18 @@ func (d *DepFunc) RelaxViolations(executed func(task int) bool) int {
 	return d.RelaxMasked(Violations(d.ts, executed, nil), nil)
 }
 
+// Relaxes reports whether RelaxMasked(m) would relax an entry of d,
+// without changing d: whether d holds an unconditional entry the
+// period behind m violates.
+func (d *DepFunc) Relaxes(m ViolationMask) bool {
+	for k, mw := range m {
+		if lattice.RelaxWords(d.w[1+k], mw) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // RelaxMasked is RelaxViolations with a prebuilt mask m (from
 // Violations over d's task set) and an audit callback: onRelax (when
 // non-nil) is invoked for every relaxed entry with its position and

@@ -57,7 +57,11 @@ func TestRelaxMaskedMatchesReference(t *testing.T) {
 
 			var got, want []relaxStep
 			mask = Violations(ts, executed, mask)
+			would := d.Relaxes(mask)
 			gotN := d.RelaxMasked(mask, recordRelax(&got))
+			if would != (gotN > 0) {
+				t.Fatalf("n=%d trial %d: Relaxes = %v, RelaxMasked relaxed %d", n, trial, would, gotN)
+			}
 			wantN := r.RelaxViolations(executed, recordRelax(&want))
 			if gotN != wantN {
 				t.Fatalf("n=%d trial %d: relaxed %d entries, reference %d", n, trial, gotN, wantN)

@@ -25,14 +25,16 @@
 //
 // ProcessPeriod composes the three in order and closes the period with
 // a period_end event carrying its counters. Between stages 1 and 2 it
-// consults the period-shape memo (memo.go): a period whose shape (its
-// candidate lists and executed tasks) the memo holds provably cannot
-// change the working set, so it skips stages 2 and 3, applies its
-// no-op history update and closes with a period_end marked skipped.
-// Driving the exported stages by hand bypasses the memo, and
-// Postprocess empties it, since the memo never saw that period. Front-ends
-// (internal/learner's Learn and Online) are thin wrappers that own
-// result assembly and verification.
+// skips a period that provably cannot change the working set, for
+// either of two reasons (THEORY.md §3b): the period-shape memo
+// (memo.go) holds its shape (its candidate lists and executed tasks),
+// or the working set is a single hypothesis that the period saturates
+// (fixedPoint). A skipped period runs neither stage 2 nor stage 3,
+// applies its history update and closes with a period_end marked
+// skipped. Driving the exported stages by hand bypasses both rules,
+// and Postprocess empties the memo, since the memo never saw that
+// period. Front-ends (internal/learner's Learn and Online) are thin
+// wrappers that own result assembly and verification.
 //
 // # Sequential by design
 //
@@ -90,9 +92,10 @@ type Config struct {
 
 	// MaxHypotheses aborts the exact algorithm with
 	// ErrTooManyHypotheses when the working set grows beyond this
-	// size. Zero means unlimited. A period ProcessPeriod skips (its
-	// shape was learned before) generates no hypotheses, so it cannot
-	// trip the cap even where generalizing it would have.
+	// size. Zero means unlimited. A period ProcessPeriod skips
+	// (because it provably cannot change the working set) generates no
+	// hypotheses, so it cannot trip the cap even where generalizing it
+	// would have.
 	MaxHypotheses int
 
 	// Observer receives the structured run-trace; nil disables
@@ -174,10 +177,12 @@ type Engine struct {
 	// memo holds the period shapes ProcessPeriod may skip (memo.go);
 	// prev is the bounded mode's copy of the period-entry working set,
 	// compared with the survivors to decide whether the period changed
-	// anything. noMemo turns the skip off for the differential tests.
-	memo   shapeMemo
-	prev   []*hypothesis.Hypothesis
-	noMemo bool
+	// anything. matcher is fixedPoint's assignment scratch. noSkip
+	// turns both skip rules off for the differential tests.
+	memo    shapeMemo
+	prev    []*hypothesis.Hypothesis
+	matcher depfunc.Matcher
+	noSkip  bool
 }
 
 // newEngine returns an engine over ts and cfg with no working set
@@ -219,20 +224,25 @@ func (e *Engine) WorkingSetSize() int { return len(e.cur) }
 
 // ProcessPeriod consumes one instance: the candidate, generalize and
 // postprocess stages in order, closed by a period_end event carrying
-// the period's counters. A period whose shape the memo holds (memo.go)
-// provably cannot change the working set, so after the candidates
-// stage it skips generalize and postprocess: it still counts its
-// messages and candidates, applies its (no-op) history update and
-// emits a period_end marked skipped. On error the engine's working set
-// is no longer a consistent prefix of the instance stream; the caller
-// owns making the session sticky.
+// the period's counters. A period that provably cannot change the
+// working set — its shape is in the memo (memo.go), or it saturates a
+// single live hypothesis (fixedPoint) — skips generalize and
+// postprocess after the candidates stage: it still counts its
+// messages and candidates, applies its history update and emits a
+// period_end marked skipped. On error the engine's working set is no
+// longer a consistent prefix of the instance stream; the caller owns
+// making the session sticky.
 func (e *Engine) ProcessPeriod(p *trace.Period) error {
 	obsv := e.cfg.Observer
 	children, merges := e.stats.Children, e.stats.Merges
 	executed := execVector(p, e.ts)
 	sp := obs.StartSpan(obsv, obs.PhaseCandidates)
 	cands := depfunc.Candidates(p, e.ts, e.cfg.Policy)
-	skipped := !e.noMemo && e.memo.lookup(executed, cands)
+	var learned, skipped bool
+	if !e.noSkip {
+		learned = e.memo.lookup(executed, cands)
+		skipped = learned || e.fixedPoint(cands, executed)
+	}
 	var live []map[depfunc.Pair]bool
 	if !skipped {
 		live = liveSuffixes(cands)
@@ -245,7 +255,12 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 		for _, pairs := range cands {
 			e.stats.Candidates += len(pairs)
 		}
-		updateHistory(e.hist, executed, e.ts.Len())
+		histGrew := updateHistory(e.hist, executed, e.ts.Len())
+		if !learned {
+			// The period ran as a no-op in all but name: the
+			// processed period's memo bookkeeping applies.
+			e.remember(!histGrew)
+		}
 	} else {
 		if e.cfg.Bound > 0 {
 			e.prev = append(e.prev[:0], e.cur...)
@@ -257,12 +272,8 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 		}
 		var histGrew bool
 		relaxed, dropped, histGrew = e.postprocess(p, executed)
-		switch {
-		case e.noMemo:
-		case e.cfg.Bound <= 0, relaxed == 0 && !histGrew && unchanged(e.prev, e.cur):
-			e.memo.insert()
-		default:
-			e.memo.reset()
+		if !e.noSkip {
+			e.remember(relaxed == 0 && !histGrew && unchanged(e.prev, e.cur))
 		}
 		clear(e.prev)
 	}
@@ -285,6 +296,67 @@ func (e *Engine) ProcessPeriod(p *trace.Period) error {
 		})
 	}
 	return nil
+}
+
+// remember is the memo bookkeeping after a period the memo did not
+// hold, whether it ran or the saturated rule skipped it (memo.go):
+// exact mode keeps every learned shape; bounded mode keeps the shape
+// of a period that changed nothing (noop) and clears the memo after
+// any other.
+func (e *Engine) remember(noop bool) {
+	if e.cfg.Bound <= 0 || noop {
+		e.memo.insert()
+	} else {
+		e.memo.reset()
+	}
+}
+
+// fixedPoint reports whether the period provably maps the working set
+// {h} to itself (THEORY.md §3b): every candidate pair of every message
+// is saturated in h (joining its stamps changes no entry), h relaxes
+// nothing under the period's violations, and the messages admit an
+// assignment to distinct candidate pairs. Every child and merge of
+// such a period then has h's matrix, and the assignment rules out the
+// empty set, so the period's result is {h} in both modes. It works in
+// the engine's scratch and allocates nothing.
+func (e *Engine) fixedPoint(cands [][]depfunc.Pair, executed []bool) bool {
+	return e.saturated(cands, executed) && e.matcher.Assignable(cands)
+}
+
+// saturated is fixedPoint's first two conditions: the working set is
+// one hypothesis h, every candidate pair is saturated in h and h
+// relaxes nothing under the period's violations.
+func (e *Engine) saturated(cands [][]depfunc.Pair, executed []bool) bool {
+	if len(e.cur) != 1 {
+		return false
+	}
+	d := &e.cur[0].D
+	for _, pairs := range cands {
+		for _, pr := range pairs {
+			fwd, bwd := e.stamps(pr)
+			if !lattice.Leq(fwd, d.At(pr.S, pr.R)) || !lattice.Leq(bwd, d.At(pr.R, pr.S)) {
+				return false
+			}
+		}
+	}
+	e.relaxMask = depfunc.Violations(e.ts, func(i int) bool { return executed[i] }, e.relaxMask)
+	return !d.Relaxes(e.relaxMask)
+}
+
+// stamps returns the values a message on pair pr joins into the
+// forward entry (s,r) and the backward entry (r,s): → and ←, each made
+// conditional (→?, ←?) once the history holds a period that executed
+// the entry's first task without its second (THEORY.md §2).
+func (e *Engine) stamps(pr depfunc.Pair) (fwd, bwd lattice.Value) {
+	n := e.ts.Len()
+	fwd, bwd = lattice.Fwd, lattice.Bwd
+	if e.hist[pr.S*n+pr.R] {
+		fwd = lattice.FwdMaybe
+	}
+	if e.hist[pr.R*n+pr.S] {
+		bwd = lattice.BwdMaybe
+	}
+	return fwd, bwd
 }
 
 // EnumerateCandidates computes the timing-feasible candidate pairs of
@@ -397,17 +469,9 @@ func (e *Engine) generalizeMessage(cur []*hypothesis.Hypothesis, pairs []depfunc
 	wl.begin(minWeight(cur), ctx)
 	seen := &e.seen
 	seen.Reset()
-	n := e.ts.Len()
 	for _, h := range cur {
 		for _, pr := range pairs {
-			fwd := lattice.Fwd
-			if e.hist[pr.S*n+pr.R] {
-				fwd = lattice.FwdMaybe
-			}
-			bwd := lattice.Bwd
-			if e.hist[pr.R*n+pr.S] {
-				bwd = lattice.BwdMaybe
-			}
+			fwd, bwd := e.stamps(pr)
 			c := h.Assume(pr, fwd, bwd, ctx)
 			if c == nil {
 				continue

@@ -7,14 +7,17 @@ import (
 	"github.com/blackbox-rt/modelgen/internal/hypothesis"
 )
 
-// This file is the period-shape memo behind ProcessPeriod's skip.
+// This file is the period-shape memo, one of ProcessPeriod's two skip
+// rules; the other, a single hypothesis the period saturates, needs no
+// memory (engine.go's fixedPoint). A period either rule covers skips
+// generalization and post-processing.
 //
 // The engine reads a period only through its shape: the candidate
 // pairs of every message, in message order, and the set of executed
 // tasks. The memo holds shapes that provably leave the engine's state
-// unchanged, and a period whose shape it holds skips generalization
-// and post-processing. Two validity rules decide what goes in
-// (THEORY.md §3b):
+// unchanged. Two validity rules decide what goes in (THEORY.md §3b),
+// after every period that was not a memo hit, whether it ran or the
+// saturated rule skipped it:
 //
 //   - Exact mode (Bound <= 0). After period k the working set is the
 //     ⊑-minimal set consistent with periods 1..k (Thm 3), and

@@ -120,7 +120,7 @@ func NewMetricsObserver(reg *Registry) Observer {
 	return &metricsObserver{
 		reg:           reg,
 		periods:       reg.Counter(MetricPeriods, "periods processed by the learner"),
-		skipped:       reg.Counter(MetricPeriodsSkipped, "periods skipped because their shape could not change the model"),
+		skipped:       reg.Counter(MetricPeriodsSkipped, "periods skipped because they provably could not change the model"),
 		messages:      reg.Counter(MetricMessages, "message occurrences of processed periods"),
 		spawned:       reg.Counter(MetricSpawned, "hypotheses created by generalization"),
 		pruned:        reg.Counter(MetricPruned, "hypotheses removed by pruning, at the period end or subsumed after a message"),

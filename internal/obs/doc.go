@@ -27,7 +27,7 @@
 // The learner emits the first three: one message_processed per
 // generalized message occurrence, one period_end per period carrying
 // that period's counters, and one run_end per batch run. A period the
-// engine skips (its shape could not change the model) emits only its
+// engine skips (it provably could not change the model) emits only its
 // candidates span and a period_end with skipped set. The trace
 // readers, the simulator and the conformance harness emit generic
 // pipeline events such as stage "trace" / name "events_read".
@@ -67,8 +67,9 @@
 // The message, spawn, merge and prune counters advance once per
 // period, so a period that fails part-way (and emits no period_end)
 // does not reach them. The skipped counter over the periods counter is
-// the skip ratio: the share of periods whose shape the engine had
-// already learned, which ran no generalization (and emitted no
+// the skip ratio: the share of periods that provably could not change
+// the model (a learned shape, or a single hypothesis the period
+// saturates), which ran no generalization (and emitted no
 // message_processed). modelgen_learner_candidates_per_message
 // aggregates the per-message candidate fan-out |A_m| of the messages
 // actually generalized — the driver of the O(m·b·t²) term of the

@@ -28,8 +28,9 @@ type MessageProcessed struct {
 // Merges, hypotheses Subsumed after a message (exact mode only),
 // entries relaxed by the end-of-period tests, Dropped by the
 // end-of-period prune, and the Live survivors with their weight range.
-// Skipped marks a period whose shape the engine had already learned:
-// it provably could not change the working set, so it ran no
+// Skipped marks a period that provably could not change the working
+// set, either because the engine had already learned its shape or
+// because it saturates the single live hypothesis, so it ran no
 // generalization and its work counters are zero.
 type PeriodEnd struct {
 	Period      int  `json:"period"`

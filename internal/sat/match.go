@@ -55,8 +55,8 @@ func EncodeAssignment(allowed [][]depfunc.Pair) *CNF {
 
 // MatchPeriod reimplements the matching function M of depfunc.Match
 // with the assignment search delegated to the DPLL solver. It exists
-// to cross-validate the backtracking matcher: the two must agree on
-// every input.
+// to cross-validate depfunc's augmenting-path matcher: the two must
+// agree on every input.
 func MatchPeriod(d *depfunc.DepFunc, p *trace.Period, pol depfunc.CandidatePolicy) bool {
 	ts := d.TaskSet()
 	executed := make([]bool, ts.Len())

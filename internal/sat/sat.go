@@ -6,7 +6,7 @@
 // the substrate role on the other side of that bridge: the
 // within-period sender/receiver assignment that the matching function
 // M must exhibit is encoded into CNF and solved with DPLL, giving an
-// independent implementation that cross-checks the backtracking
+// independent implementation that cross-checks the augmenting-path
 // matcher in depfunc (see MatchPeriod).
 package sat
 
