@@ -119,8 +119,10 @@ bench:
 	$(GO) run ./cmd/bbbench -config lite -exact -bounds 16 -repeat 5 -label exact_lite -json BENCH_exact_lite.json
 
 ## microbench: the go-test microbenchmarks, including the
-## zero-allocation observer guard (compare nil vs nop allocs/op) and
-## the DepFunc Key-vs-Fingerprint dedup-cost comparison.
+## zero-allocation observer guard (compare nil vs nop allocs/op), the
+## DepFunc Key-vs-Fingerprint dedup-cost comparison, and the answer
+## path: BenchmarkResultExactLite (one Online.Result on the exact lite
+## working set) and BenchmarkTable (one 18-task table rendering).
 microbench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/learner/ ./internal/depfunc/
 

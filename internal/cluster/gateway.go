@@ -178,30 +178,48 @@ func (g *Gateway) placementLocked(id string) *placement {
 	return p
 }
 
-// await returns the stream's placement once no migration is in
-// flight, or nil after MigrationWait.
-func (g *Gateway) await(id string) *placement {
+// await returns the stream's owner and placement epoch, copied under
+// the lock, once no migration is in flight; ok is false after
+// MigrationWait.
+func (g *Gateway) await(id string) (node string, epoch uint64, ok bool) {
 	deadline := time.Now().Add(g.cfg.MigrationWait)
 	for {
 		g.mu.Lock()
 		p := g.placementLocked(id)
-		ch := p.migrating
+		node, epoch, ch := p.node, p.epoch, p.migrating
 		g.mu.Unlock()
 		if ch == nil {
-			return p
+			return node, epoch, true
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return nil
+			return "", 0, false
 		}
 		t := time.NewTimer(remain)
 		select {
 		case <-ch:
 			t.Stop()
 		case <-t.C:
-			return nil
+			return "", 0, false
 		}
 	}
+}
+
+// deposed reports whether a request routed to the stream at epoch has
+// lost its owner since: a migration is in flight or has committed a
+// later epoch.
+func (g *Gateway) deposed(id string, epoch uint64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := g.streams[id]
+	return p != nil && (p.migrating != nil || p.epoch > epoch)
+}
+
+// staleOwnerStatus reports whether a node's answer can mean that the
+// request reached a deposed owner, which applied nothing: the stream
+// was already unpublished (404), retired (410) or fenced (412).
+func staleOwnerStatus(code int) bool {
+	return code == http.StatusNotFound || code == http.StatusGone || code == http.StatusPreconditionFailed
 }
 
 func (b *backend) client() *http.Client {
@@ -212,15 +230,21 @@ func (b *backend) client() *http.Client {
 }
 
 // forward proxies the request to the node, stamping the placement
-// epoch. The client's headers are copied wholesale, so traceparent
-// propagates into the node's span tree.
+// epoch, and relays the answer.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string, epoch uint64, body []byte) {
+	resp, err := g.send(r, node, epoch, body)
+	g.relay(w, node, resp, err)
+}
+
+// send issues the proxied request to the node. The client's headers
+// are copied wholesale, so traceparent propagates into the node's span
+// tree. An error means the node gave no answer.
+func (g *Gateway) send(r *http.Request, node string, epoch uint64, body []byte) (*http.Response, error) {
 	b := g.backends[node]
 	b.reqs.Inc()
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, b.URL+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
+		return nil, err
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
@@ -228,6 +252,15 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string, e
 	if err != nil {
 		b.errs.Inc()
 		g.logf("cluster: gateway: %s %s → %s: %v", r.Method, r.URL.Path, node, err)
+		return nil, err
+	}
+	return resp, nil
+}
+
+// relay writes send's outcome to the client: the node's answer as is,
+// or 502 when there was none.
+func (g *Gateway) relay(w http.ResponseWriter, node string, resp *http.Response, err error) {
+	if err != nil {
 		writeJSON(w, http.StatusBadGateway,
 			map[string]string{"error": fmt.Sprintf("cluster: node %s unreachable: %v", node, err)})
 		return
@@ -267,13 +300,17 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	p := g.await(req.ID)
-	if p == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"error": fmt.Sprintf("cluster: stream %s is migrating", req.ID)})
+	node, epoch, ok := g.await(req.ID)
+	if !ok {
+		writeMigrating(w, req.ID)
 		return
 	}
-	g.forward(w, r, p.node, p.epoch, body)
+	g.forward(w, r, node, epoch, body)
+}
+
+func writeMigrating(w http.ResponseWriter, id string) {
+	writeJSON(w, http.StatusServiceUnavailable,
+		map[string]string{"error": fmt.Sprintf("cluster: stream %s is migrating", id)})
 }
 
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -283,13 +320,25 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	p := g.await(id)
-	if p == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"error": fmt.Sprintf("cluster: stream %s is migrating", id)})
+	node, epoch, ok := g.await(id)
+	if !ok {
+		writeMigrating(w, id)
 		return
 	}
-	g.forward(w, r, p.node, p.epoch, body)
+	resp, err := g.send(r, node, epoch, body)
+	if err == nil && staleOwnerStatus(resp.StatusCode) && g.deposed(id, epoch) {
+		// The request was routed just before a migration took the
+		// stream off the node, which therefore applied nothing: send
+		// the buffered body once more to wherever the migration
+		// settles.
+		resp.Body.Close()
+		if node, epoch, ok = g.await(id); !ok {
+			writeMigrating(w, id)
+			return
+		}
+		resp, err = g.send(r, node, epoch, body)
+	}
+	g.relay(w, node, resp, err)
 }
 
 // maxStreamBody bounds proxied per-stream request bodies (events

@@ -352,6 +352,31 @@ func (d *DepFunc) Key() string {
 	return string(b)
 }
 
+// CompareKey orders d and other as strings.Compare(d.Key(), other.Key())
+// does, without building either string: the first differing word
+// decides, and within it the lowest differing lane. PackValue is
+// monotone and lanes past n² are zero, so comparing lane codes is
+// comparing Key bytes. Functions over task sets of different sizes
+// fall back to comparing the strings.
+func (d *DepFunc) CompareKey(other *DepFunc) int {
+	if d.ts.Len() != other.ts.Len() {
+		return strings.Compare(d.Key(), other.Key())
+	}
+	ow := other.w[1:]
+	for i, a := range d.w[1:] {
+		b := ow[i]
+		if a == b {
+			continue
+		}
+		sh := uint(bits.TrailingZeros64(a^b)) / lattice.PackedBits * lattice.PackedBits
+		if a>>sh&laneMask < b>>sh&laneMask {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
 // JoinAll returns the pointwise least upper bound of all the given
 // functions (the paper's ⊔D* used as the final result when the
 // algorithm does not converge). It returns nil for an empty slice.
@@ -382,29 +407,52 @@ func (d *DepFunc) Table() string {
 			colw = len(name) + 2
 		}
 	}
+	// Every cell is padded to colw (no name or value is wider), so this
+	// bound holds the whole table and the builder allocates once.
 	var sb strings.Builder
-	line := func(cells []string) {
-		row := ""
-		for _, c := range cells {
-			row += c
-			for k := len(c); k < colw; k++ {
-				row += " "
-			}
+	sb.Grow((n + 1) * ((n+1)*colw + 1))
+	// A row is its cells padded to colw with the trailing spaces
+	// trimmed. Spaces are owed, not written, until a non-space byte
+	// follows them, so the row's trailing run is simply never written.
+	owed := 0
+	cell := func(c string) {
+		core := strings.TrimRight(c, " ")
+		if core != "" {
+			writeSpaces(&sb, owed)
+			sb.WriteString(core)
+			owed = 0
 		}
-		sb.WriteString(strings.TrimRight(row, " "))
-		sb.WriteByte('\n')
+		owed += len(c) - len(core) + max(colw-len(c), 0)
 	}
-	header := append([]string{""}, d.ts.names...)
-	line(header)
-	cells := make([]string, n+1)
+	endRow := func() {
+		sb.WriteByte('\n')
+		owed = 0
+	}
+	cell("")
+	for _, name := range d.ts.names {
+		cell(name)
+	}
+	endRow()
 	for i := 0; i < n; i++ {
-		cells[0] = d.ts.names[i]
+		cell(d.ts.names[i])
 		for j := 0; j < n; j++ {
-			cells[j+1] = d.At(i, j).String()
+			cell(d.At(i, j).String())
 		}
-		line(cells)
+		endRow()
 	}
 	return sb.String()
+}
+
+// spaces is a run writeSpaces copies from.
+const spaces = "                                                                "
+
+// writeSpaces writes k spaces to sb.
+func writeSpaces(sb *strings.Builder, k int) {
+	for k > len(spaces) {
+		sb.WriteString(spaces)
+		k -= len(spaces)
+	}
+	sb.WriteString(spaces[:k])
 }
 
 // String returns the table rendering.

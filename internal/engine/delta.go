@@ -190,6 +190,7 @@ func (e *Engine) ApplyPeriodDelta(d *PeriodDelta) error {
 		e.hist[i] = true
 	}
 	e.stats = d.Stats
+	e.gen++
 	e.resetDeltaBase()
 	// The memo only vouches for periods ProcessPeriod saw.
 	e.memo.reset()

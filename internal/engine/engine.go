@@ -183,6 +183,11 @@ type Engine struct {
 	prev    []*hypothesis.Hypothesis
 	matcher depfunc.Matcher
 	noSkip  bool
+
+	// gen counts the steps that may have changed the working set
+	// (Generation). It is not checkpointed: a restored engine starts
+	// at zero.
+	gen uint64
 }
 
 // newEngine returns an engine over ts and cfg with no working set
@@ -221,6 +226,13 @@ func (e *Engine) Working() []*hypothesis.Hypothesis { return e.cur }
 
 // WorkingSetSize returns the current number of live hypotheses.
 func (e *Engine) WorkingSetSize() int { return len(e.cur) }
+
+// Generation returns a counter that Generalize, Postprocess and
+// ApplyPeriodDelta bump, and nothing else does: while it holds still,
+// the working set is unchanged, so whatever a reader derived from it
+// (the sorted result, its rendering) is still current. A skipped
+// period does not bump it.
+func (e *Engine) Generation() uint64 { return e.gen }
 
 // ProcessPeriod consumes one instance: the candidate, generalize and
 // postprocess stages in order, closed by a period_end event carrying
@@ -376,6 +388,7 @@ func (e *Engine) EnumerateCandidates(p *trace.Period) ([][]depfunc.Pair, []map[d
 func (e *Engine) Generalize(p *trace.Period, cands [][]depfunc.Pair, live []map[depfunc.Pair]bool) error {
 	obsv := e.cfg.Observer
 	sp := obs.StartSpan(obsv, obs.PhaseGeneralize)
+	e.gen++
 	e.subsumed = 0
 	cur := e.cur
 	for mi := range p.Msgs {
@@ -431,6 +444,7 @@ func (e *Engine) Postprocess(p *trace.Period, executed []bool) (relaxed, dropped
 // grew.
 func (e *Engine) postprocess(p *trace.Period, executed []bool) (relaxed, dropped int, histGrew bool) {
 	sp := obs.StartSpan(e.cfg.Observer, obs.PhasePostprocess)
+	e.gen++
 	endCtx := hypothesis.StepCtx{Period: p.Index, Msg: -1}
 	e.relaxMask = depfunc.Violations(e.ts, func(i int) bool { return executed[i] }, e.relaxMask)
 	for _, h := range e.cur {

@@ -58,6 +58,7 @@ func diffSkip(t testing.TB, tr *trace.Trace, cfg Config) skipCounts {
 		cands := depfunc.Candidates(p, ts, cfg.Policy)
 		saturated := on.saturated(cands, execVector(p, ts))
 		fixed := saturated && on.matcher.Assignable(cands)
+		gen := on.Generation()
 		errOn, errOff := on.ProcessPeriod(p), off.ProcessPeriod(p)
 		if fmt.Sprint(errOn) != fmt.Sprint(errOff) {
 			t.Fatalf("period %d: skips on: %v, skips off: %v", p.Index, errOn, errOff)
@@ -79,6 +80,10 @@ func diffSkip(t testing.TB, tr *trace.Trace, cfg Config) skipCounts {
 		}
 		if cnt.last {
 			c.skipped++
+		}
+		// The generation moves exactly when the period ran.
+		if moved := on.Generation() != gen; moved == cnt.last {
+			t.Fatalf("period %d: skipped %v, yet the generation moved %v", p.Index, cnt.last, moved)
 		}
 		if len(on.cur) != len(off.cur) {
 			t.Fatalf("period %d: %d live with skips, %d without", p.Index, len(on.cur), len(off.cur))

@@ -66,8 +66,12 @@ func TestDeltaReplayEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("period %d: %v", i, err)
 				}
+				gen := b.Generation()
 				if err := b.ApplyDelta(roundTrip(t, d)); err != nil {
 					t.Fatalf("period %d: %v", i, err)
+				}
+				if b.Generation() == gen {
+					t.Fatalf("period %d: ApplyDelta left the generation at %d", i, gen)
 				}
 				sa, err := a.Snapshot()
 				if err != nil {

@@ -345,7 +345,7 @@ func finish(ts *depfunc.TaskSet, tr *trace.Trace, ds []*depfunc.DepFunc,
 		if wa != wb {
 			return wa < wb
 		}
-		return ds[a].Key() < ds[b].Key()
+		return ds[a].CompareKey(ds[b]) < 0
 	})
 	stats.Final = len(ds)
 	return &Result{

@@ -66,6 +66,15 @@ func (o *Online) Stats() Stats { return o.eng.Stats() }
 // WorkingSetSize returns the current number of live hypotheses.
 func (o *Online) WorkingSetSize() int { return o.eng.WorkingSetSize() }
 
+// Generation returns the engine's working-set generation: it moves
+// whenever AddPeriod or ApplyDelta may have changed the working set,
+// and holds still across a period the engine skipped. Everything
+// Result reports except Stats is a function of the working set (and,
+// with VerifyResults, of the retained window), so a reader may reuse
+// what it derived from a Result while Generation is unchanged. It is
+// not part of a Snapshot: a restored session starts again at zero.
+func (o *Online) Generation() uint64 { return o.eng.Generation() }
+
 // LUB returns the pointwise least upper bound of the current working
 // set as a fresh dependency function the caller may keep: the live
 // model a drift monitor checks each newly learned period against.

@@ -49,6 +49,14 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 	if s == nil {
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, ErrNoStream)
 	}
+	// A request that found the stream before unpublish may still be
+	// ingesting. Holding the feed until it is closed orders every such
+	// batch: it was queued before the checkpoint (which drains it into
+	// the envelope), or it is refused whole with ErrStreamClosed. So a
+	// 202 always lands in the envelope and a 410 means nothing was
+	// applied.
+	s.feedMu.Lock()
+	defer s.feedMu.Unlock()
 	var body []byte
 	var learned int
 	var snapErr error
@@ -71,6 +79,7 @@ func (sv *Server) ExportStream(id string) ([]byte, int, error) {
 		return nil, 0, fmt.Errorf("serve: export %q: %w", id, err)
 	}
 	// The envelope is safe; the importer owns the state from here on.
+	s.feedClosed = true
 	sv.retire(s)
 	return body, learned, nil
 }

@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -44,6 +45,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,8 +86,9 @@ type Config struct {
 	// serve_streams, serve_http_requests_total, serve_http_errors_total,
 	// serve_ingest_offered_lines_total, serve_ingest_shed_lines_total,
 	// the serve_ingest_latency_seconds histogram (enqueue → committed
-	// model update, with trace exemplars when tracing is on), and
-	// per-stream serve_queue_depth{stream=...},
+	// model update, with trace exemplars when tracing is on),
+	// serve_model_renders_total (GET /model bodies rendered rather
+	// than reused), and per-stream serve_queue_depth{stream=...},
 	// serve_periods_total{stream=...}, serve_shed_total{stream=...}.
 	// The registry's Prometheus handler is mounted at /metrics.
 	Registry *obs.Registry
@@ -174,6 +177,8 @@ func New(cfg Config) *Server {
 		Help:    "Periods between an estimated change point and its alarm.",
 		Buckets: obs.DriftLagBuckets,
 	})
+	sv.mModelRenders = reg.Counter("serve_model_renders_total",
+		"Model bodies rendered from a learner result; GET /model reuses the last one while the working set is unchanged.")
 	sv.mQuarantined = reg.Counter("serve_restore_quarantined_total",
 		"Corrupt stream state moved to quarantine during restore.")
 	obs.RuntimeMetrics(reg)
@@ -598,14 +603,21 @@ func (sv *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: no stream %q", r.PathValue("id")))
 		return
 	}
+	dot := r.URL.Query().Get("format") == "dot"
 	var res *learner.Result
+	var prefix []byte
+	var periods int
 	var resErr error
 	err := s.do(func(o *learner.Online) {
-		if o == nil { // hydration failed; surface the sticky error
+		switch {
+		case o == nil: // hydration failed; surface the sticky error
 			resErr = s.deadErr()
-			return
+		case dot:
+			res, resErr = o.Result()
+		default:
+			prefix, resErr = s.modelPrefix(o)
+			periods = o.Stats().Periods
 		}
-		res, resErr = o.Result()
 	})
 	if errors.Is(err, ErrStreamClosed) {
 		writeError(w, http.StatusGone, err)
@@ -615,22 +627,59 @@ func (sv *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, resErr)
 		return
 	}
-	if r.URL.Query().Get("format") == "dot" {
+	if dot {
 		w.Header().Set("Content-Type", "text/vnd.graphviz")
 		fmt.Fprint(w, res.LUB.DOT(s.id))
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(prefix)
+	_, _ = w.Write(append(strconv.AppendInt(make([]byte, 0, 24), int64(periods), 10), "\n}\n"...))
+}
+
+// modelTail is how an encoded ModelResponse with Periods zero ends.
+// Periods is its last field and the only one that moves while the
+// working set holds still (a skipped period counts), so everything
+// before it can be rendered once per working-set change.
+const modelTail = "0\n}\n"
+
+// modelPrefix returns o's /model body up to its "periods" value. It
+// renders the body only when the learner or its working-set generation
+// differs from the cached one's, so a drift fork, an install or a
+// restore (each a new learner) invalidates the cache. A VerifyResults
+// stream renders every time: its result depends on the retained
+// window as well as the working set. Owner goroutine only.
+func (s *stream) modelPrefix(o *learner.Online) ([]byte, error) {
+	if err := o.Err(); err != nil {
+		return nil, err
+	}
+	if !s.opt.VerifyResults && s.modelFor == o && s.modelGen == o.Generation() {
+		return s.modelBody, nil
+	}
+	res, err := o.Result()
+	if err != nil {
+		return nil, err
+	}
 	m := ModelResponse{
-		ID:        s.id,
-		Tasks:     res.TaskSet.Names(),
-		LUB:       res.LUB.Table(),
-		Converged: res.Converged,
-		Periods:   res.Stats.Periods,
+		ID:         s.id,
+		Tasks:      res.TaskSet.Names(),
+		Hypotheses: make([]string, len(res.Hypotheses)),
+		LUB:        res.LUB.Table(),
+		Converged:  res.Converged,
 	}
-	for _, d := range res.Hypotheses {
-		m.Hypotheses = append(m.Hypotheses, d.Table())
+	for i, d := range res.Hypotheses {
+		m.Hypotheses[i] = d.Table()
 	}
-	writeJSON(w, http.StatusOK, m)
+	var buf bytes.Buffer
+	encodeJSON(&buf, m)
+	prefix, ok := bytes.CutSuffix(buf.Bytes(), []byte(modelTail))
+	if !ok {
+		panic("serve: an encoded ModelResponse no longer ends in its periods field")
+	}
+	s.modelFor, s.modelGen, s.modelBody = o, o.Generation(), prefix
+	s.mModelRenders.Inc()
+	return prefix, nil
 }
 
 func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -809,6 +858,12 @@ func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON writes v the way every API body is encoded: indented two
+// spaces, HTML-escaped, newline-terminated.
+func encodeJSON(w io.Writer, v interface{}) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

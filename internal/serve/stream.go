@@ -62,6 +62,8 @@ var ErrStreamClosed = errors.New("serve: stream closed")
 //     closure request channel. No lock ever guards learner state.
 //   - The ingest parser is guarded by feedMu and advanced
 //     clone-and-commit, so a shed or failed batch leaves no trace.
+//     feedClosed, also under feedMu, refuses every batch once an
+//     export has captured the stream's state.
 //   - dead / periodsCut / shed are atomics readable from any handler.
 //   - A restored stream starts cold: no learner, no open store
 //     handle. The owner hydrates (base snapshot + WAL replay) before
@@ -72,8 +74,9 @@ type stream struct {
 	info StreamInfo
 	opt  learner.Options
 
-	feedMu sync.Mutex
-	parser *parser
+	feedMu     sync.Mutex
+	parser     *parser
+	feedClosed bool
 
 	queue   chan queuedPeriod
 	reqs    chan func(*learner.Online)
@@ -121,6 +124,14 @@ type stream struct {
 	o       *learner.Online
 	learned int // periods consumed, across restarts and generations
 
+	// The /model body of learner modelFor at working-set generation
+	// modelGen, encoded up to its "periods" value (modelPrefix). A
+	// prefix is never written to once built, so a handler may write
+	// it out after leaving the owner goroutine. Owner goroutine only.
+	modelFor  *learner.Online
+	modelGen  uint64
+	modelBody []byte
+
 	// Drift monitoring. driftEnabled is immutable after construction;
 	// mon is owner-only (built at hydration) and observes every period
 	// consume learns.
@@ -149,6 +160,7 @@ type sharedInstruments struct {
 	mPeriodsLearned *obs.Counter   // serve_periods_learned_total
 	mAlarmPeriods   *obs.Counter   // serve_drift_alarm_periods_total
 	mDriftLag       *obs.Histogram // modelgen_drift_detection_lag_periods
+	mModelRenders   *obs.Counter   // serve_model_renders_total
 }
 
 func (s *stream) deadErr() error {
@@ -170,6 +182,11 @@ func (s *stream) ingest(lines []string, parent obs.SpanContext) (resp IngestResp
 	}
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
+	if s.feedClosed {
+		// Exported: the envelope is taken, so a period queued now
+		// would be learned into state that is being deleted.
+		return resp, false, ErrStreamClosed
+	}
 
 	cutSpan := s.tracer.StartSpan("period_cut", parent)
 	cp := s.parser.clone()

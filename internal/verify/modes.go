@@ -43,16 +43,22 @@ func Modes(tr *trace.Trace) []Mode {
 		}
 		m.Periods = append(m.Periods, p.Index)
 	}
-	out := make([]Mode, 0, len(byKey))
-	for _, m := range byKey {
-		out = append(out, *m)
+	// Sort the map's keys, built once above, rather than rebuilding
+	// each mode's Key on every comparison.
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Periods) != len(out[j].Periods) {
-			return len(out[i].Periods) > len(out[j].Periods)
+	sort.Slice(keys, func(i, j int) bool {
+		if ci, cj := len(byKey[keys[i]].Periods), len(byKey[keys[j]].Periods); ci != cj {
+			return ci > cj
 		}
-		return out[i].Key() < out[j].Key()
+		return keys[i] < keys[j]
 	})
+	out := make([]Mode, len(keys))
+	for i, k := range keys {
+		out[i] = *byKey[k]
+	}
 	return out
 }
 
